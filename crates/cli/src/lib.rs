@@ -10,6 +10,7 @@
 use dl::IndividualName;
 use fourval::TruthValue;
 use shoin4::analysis::{classify4, contradiction_report_seeded};
+use shoin4::command::Command;
 use shoin4::reasoner4::QueryOptions;
 use shoin4::{parse_kb4, KnowledgeBase4, Reasoner4};
 use std::fmt;
@@ -127,13 +128,15 @@ SERVE FLAGS (any order; --listen required):
                         score at which a request routes heavy (8;
                         implies --lanes)
 
-Session scripts take one verb per line: `add <axiom>`,
+Session scripts take one command per line: `add <axiom>`,
 `retract <axiom>`, `query <ind> <concept>`, `role <role> <a> <b>`,
-`check`, plus `DataRole:` declarations, blank lines and # comments.
+`entails <axiom>`, `check`, `stats`, plus `DataRole:` declarations
+(which scope over later lines), blank lines and # comments.
 
-The serve protocol takes the same verbs, one per line over TCP, after
-a `tenant <id>` line selects the session; replies are JSON objects
-(see README §Serving).
+The serve protocol is the same grammar, one command per line over TCP,
+plus the connection verbs `tenant <id>` (select the session; required
+first), `cancel [<id>]` and `quit`; replies are JSON objects (see
+README §Serving).
 
 Ontologies use the line-based Manchester-like syntax (see README).";
 
@@ -238,8 +241,9 @@ fn write_stats_block(out: &mut String, stats: &tableau::Stats) {
         stats.backjumps, stats.graph_clones, stats.trail_len_peak, stats.branch_depth_peak
     )
     .unwrap();
-    // Module-scoping counters appear only when scoping actually ran, so
-    // the unscoped output (pinned by older tests and scripts) is stable.
+    // Module counters appear only once a module was extracted (module
+    // scoping, the Horn rung or a session), so runs that never extract
+    // keep the shorter block.
     if stats.scoped_queries > 0 {
         writeln!(
             out,
@@ -497,97 +501,57 @@ fn analyze_report(kb: &shoin4::KnowledgeBase4, json: bool) -> String {
     out
 }
 
-/// Execute a session verb script: one verb per line (`add`, `retract`,
-/// `query`, `role`, `check`), `DataRole:` declarations, blank lines and
-/// `#` comments. Axiom statements use the same line syntax as ontology
-/// files; declarations accumulate and scope over the rest of the script.
+/// Execute a session script: one [`Command`] per line (`add`,
+/// `retract`, `query`, `role`, `entails`, `check`, `stats` and
+/// `DataRole:` declarations), blank lines and `#` comments. Axiom
+/// statements use the same line syntax as ontology files; declarations
+/// accumulate and scope over the rest of the script.
 fn run_session_script(
     session: &mut shoin4::Session,
     text: &str,
     out: &mut String,
 ) -> Result<(), CliError> {
-    use dl::name::{DataRoleName, RoleName};
-    use std::collections::BTreeSet;
-
-    let mut declared: BTreeSet<DataRoleName> = BTreeSet::new();
-    let parse_axiom = |stmt: &str, declared: &BTreeSet<DataRoleName>, lineno: usize| {
-        let mut src = String::new();
-        if !declared.is_empty() {
-            src.push_str("DataRole:");
-            for u in declared {
-                src.push(' ');
-                src.push_str(u.as_str());
-            }
-            src.push('\n');
-        }
-        src.push_str(stmt);
-        let kb =
-            parse_kb4(&src).map_err(|e| CliError::Parse(format!("script line {lineno}: {e}")))?;
-        match kb.axioms() {
-            [ax] => Ok(ax.clone()),
-            other => Err(CliError::Parse(format!(
-                "script line {lineno}: expected one axiom, got {}",
-                other.len()
-            ))),
-        }
-    };
+    let mut declared = std::collections::BTreeSet::new();
     for (i, raw) in text.lines().enumerate() {
         let line = raw.trim();
-        let lineno = i + 1;
         if line.is_empty() || line.starts_with('#') {
             continue;
         }
-        if let Some(names) = line.strip_prefix("DataRole:") {
-            declared.extend(names.split_whitespace().map(DataRoleName::new));
-            continue;
-        }
-        if line == "check" {
-            writeln!(out, "satisfiable: {}", session.is_satisfiable()?).unwrap();
-            continue;
-        }
-        let (verb, arg) = line.split_once(' ').ok_or_else(|| {
-            CliError::Parse(format!("script line {lineno}: unreadable verb {line:?}"))
-        })?;
-        match verb {
-            "add" => {
-                session.add_axiom(parse_axiom(arg, &declared, lineno)?)?;
+        let script_error = |e: String| CliError::Parse(format!("script line {}: {e}", i + 1));
+        // The statement as written, echoed back by `add` and `retract`.
+        let arg = line
+            .split_once(char::is_whitespace)
+            .map_or("", |(_, r)| r.trim());
+        match Command::parse(line, &declared).map_err(script_error)? {
+            Command::DeclareDataRoles(names) => declared.extend(names),
+            Command::Add(ax) => {
+                session.add_axiom(ax)?;
                 writeln!(out, "added {arg}").unwrap();
             }
-            "retract" => {
-                let hit = session.retract_axiom(&parse_axiom(arg, &declared, lineno)?)?;
-                if hit {
+            Command::Retract(ax) => {
+                if session.retract_axiom(&ax)? {
                     writeln!(out, "retracted {arg}").unwrap();
                 } else {
                     writeln!(out, "retract no-op {arg}").unwrap();
                 }
             }
-            "query" => {
-                let (ind, concept) = arg.split_once(' ').ok_or_else(|| {
-                    CliError::Parse(format!("script line {lineno}: query needs <ind> <concept>"))
-                })?;
-                let c = dl::parser::parse_concept(concept)
-                    .map_err(|e| CliError::Parse(format!("script line {lineno}: {e}")))?;
-                let v = session.query(&IndividualName::new(ind), &c)?;
-                writeln!(out, "{ind} : {c} = {}", truth_gloss(v)).unwrap();
+            Command::Query(a, c) => {
+                let v = session.query(&a, &c)?;
+                writeln!(out, "{a} : {c} = {}", truth_gloss(v)).unwrap();
             }
-            "role" => {
-                let parts: Vec<&str> = arg.split_whitespace().collect();
-                let [r, a, b] = parts[..] else {
-                    return Err(CliError::Parse(format!(
-                        "script line {lineno}: role needs <role> <a> <b>"
-                    )));
-                };
-                let v = session.query_role(
-                    &RoleName::new(r),
-                    &IndividualName::new(a),
-                    &IndividualName::new(b),
-                )?;
+            Command::Role(r, a, b) => {
+                let v = session.query_role(&r, &a, &b)?;
                 writeln!(out, "{r}({a}, {b}) = {}", truth_gloss(v)).unwrap();
             }
-            other => {
-                return Err(CliError::Parse(format!(
-                    "script line {lineno}: unknown verb {other:?}"
-                )))
+            Command::Entails(ax) => {
+                writeln!(out, "entailed {arg}: {}", session.entails(&ax)?).unwrap();
+            }
+            Command::Check => writeln!(out, "satisfiable: {}", session.is_satisfiable()?).unwrap(),
+            Command::Stats => write_stats_block(out, &session.stats()),
+            Command::Tenant(_) | Command::Cancel(_) | Command::Quit => {
+                return Err(script_error(
+                    "`tenant`, `cancel` and `quit` are serve verbs".into(),
+                ))
             }
         }
     }
@@ -624,8 +588,10 @@ pub fn run_with_fs(
         }
         [cmd, path, ind, concept] if cmd == "query" => {
             let kb = load_kb4(path, read)?;
-            let c =
-                dl::parser::parse_concept(concept).map_err(|e| CliError::Parse(e.to_string()))?;
+            // Data roles read as in the KB, as a session's `query` reads
+            // the ones declared before it.
+            let c = shoin4::command::parse_concept(concept, &kb.signature().data_roles)
+                .map_err(CliError::Parse)?;
             let r = Reasoner4::new(&kb);
             let v = r.query(&IndividualName::new(ind.as_str()), &c)?;
             writeln!(out, "{ind} : {c} = {}", truth_gloss(v)).unwrap();
@@ -995,6 +961,9 @@ john : UrgencyTeam";
         assert!(out.contains('⊤'), "{out}");
         let out = fs.run(&["query", "kb.dl4", "john", "Patient"]).unwrap();
         assert!(out.contains('⊥'), "{out}");
+        let fs = MemFs::new(&[("kb.dl4", "DataRole: age\nage(pat, 41)")]);
+        let out = fs.run(&["query", "kb.dl4", "pat", "age min 1"]).unwrap();
+        assert!(out.contains("= t (information: yes)"), "{out}");
     }
 
     #[test]
@@ -1239,11 +1208,9 @@ y : D";
         let classified = fs.run(&["classify", "kb.dl4", "--module-scoping"]).unwrap();
         assert_eq!(classified, fs.run(&["classify", "kb.dl4"]).unwrap());
         // … and `check --module-scoping --no-horn` surfaces the module
-        // counters (the Horn fast path sits in front of scoping, and on
-        // this KB it settles satisfiability from the trivially Horn
-        // ∅-seed module before the scoped tableau is consulted — so the
-        // scoped counters need `--no-horn` to appear), while the
-        // unscoped run keeps the historical stats block.
+        // counters of the scoped tableau (with Horn on, this KB's
+        // satisfiability is settled by saturating the Horn ∅-seed
+        // module), while an unscoped `--no-horn` run never extracts.
         let checked = fs
             .run(&["check", "kb.dl4", "--module-scoping", "--no-horn"])
             .unwrap();
@@ -1355,10 +1322,11 @@ check";
     fn session_scripts_support_data_role_declarations() {
         let fs = MemFs::new(&[(
             "ops.txt",
-            "DataRole: age\nadd age(pat, 41)\nquery pat Person",
+            "DataRole: age\nadd age(pat, 41)\nquery pat Person\nquery pat age min 1",
         )]);
         let out = fs.run(&["session", "--script", "ops.txt"]).unwrap();
         assert!(out.contains("added age(pat, 41)"), "{out}");
+        assert!(out.contains("= t (information: yes)"), "{out}");
         assert!(out.contains("axioms: 1"), "{out}");
     }
 

@@ -22,8 +22,8 @@
 //!
 //! * **Add** of axiom `δ`: a cached module `(M, Σ)` is dirty iff some
 //!   classical image of `δ` fails `⊤`-locality w.r.t. `Σ`
-//!   ([`dataflow::axiom_local`]). If every image is `Σ`-local it is
-//!   also local w.r.t. every *intermediate* signature of a fresh
+//!   ([`crate::dataflow::axiom_local`]). If every image is `Σ`-local it
+//!   is also local w.r.t. every *intermediate* signature of a fresh
 //!   re-extraction (locality reads only `Σ ∩ atoms(δ)` and is
 //!   anti-monotone in `Σ`), so the fixpoint re-run admits exactly the
 //!   old members — the cached engine, Horn program, and every
@@ -42,45 +42,38 @@
 //!
 //! Entailment-cache entries are tagged with the module key that
 //! answered them and die with it. Told-index rows are maintained by
-//! [`ToldIndex::note_added`]/[`ToldIndex::note_retracted`] (an equality
-//! merge rebuilds the index — the class partition itself moved).
+//! [`crate::told::ToldIndex::note_added`] and
+//! [`crate::told::ToldIndex::note_retracted`] (an equality merge
+//! rebuilds the index — the class partition itself moved).
 //!
 //! # Durability
 //!
 //! [`Session::open`] adds a write-ahead log: one text line per
-//! mutation (`add <axiom>` / `retract <axiom>` in the [`crate::parser4`]
-//! syntax, so the log is human-readable and replays through the normal
-//! parser), a periodic binary snapshot in a `DLK4` format framed with
-//! the [`dl::snapshot`] wire primitives, and replay-on-open recovery. A
+//! mutation (`add <axiom>` / `retract <axiom>`, plus `decl DataRole: …`
+//! lines, in the [`crate::command`] grammar, so the log is
+//! human-readable and replays through the request parser), a periodic
+//! binary snapshot in a `DLK4` format framed with the [`dl::snapshot`]
+//! wire primitives, and replay-on-open recovery. A
 //! mutation is committed once its newline reaches the file; on reopen,
 //! a partial final line (the torn write of a crash) is dropped and
 //! truncated away, while a malformed *committed* line is reported as
 //! [`SessionError::Corrupt`] rather than silently skipped.
 
-use crate::cache::{lock_mutex, recover, ShardedMap};
-use crate::dataflow::{self, axiom_local, ModuleExtractor, SigAtom};
-use crate::hardness;
-use crate::horn::{self, HornProgram};
+use crate::command::Command;
 use crate::inclusion::InclusionKind;
 use crate::kb4::{Axiom4, KnowledgeBase4};
-use crate::parser4::parse_kb4;
+use crate::pipeline::{Delta, Pipeline};
 use crate::printer4::print_axiom4;
-use crate::reasoner4::subsumption_probe;
-use crate::serve::{self, SharedModuleCache};
-use crate::told::ToldIndex;
-use crate::transform::{self, Transformer};
-use dl::axiom::{Axiom, RoleExpr};
-use dl::kb::KnowledgeBase;
+use crate::serve::SharedModuleCache;
 use dl::name::{DataRoleName, IndividualName, RoleName};
 use dl::snapshot::{self as wire, SnapshotError};
 use dl::Concept;
 use fourval::TruthValue;
-use std::collections::{BTreeSet, HashMap, HashSet};
+use std::collections::BTreeSet;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
-use std::sync::{Arc, Mutex, OnceLock};
-use std::time::Instant;
-use tableau::{Config, QueryEngine, ReasonerError, Stats};
+use std::sync::Arc;
+use tableau::{Config, ReasonerError, Stats};
 
 /// WAL file name inside a session directory.
 pub const WAL_FILE: &str = "session.wal";
@@ -135,94 +128,30 @@ impl From<SnapshotError> for SessionError {
     }
 }
 
-/// One cached module: the engine and Horn program are built lazily
-/// (a module answered purely by saturation never pays for a tableau
-/// engine, and vice versa) and die together when the module is
-/// invalidated.
-struct ModuleEntry {
-    /// Member slot ids — the cache key, shared with the entailment
-    /// cache's per-entry tags.
-    key: Arc<BTreeSet<usize>>,
-    /// Content address of the module's classical image
-    /// ([`serve::structural_key`]), computed lazily — only sessions
-    /// wired to a [`SharedModuleCache`] ever ask for it.
-    skey: OnceLock<Arc<str>>,
-    /// The engine plus whether it was *adopted* from the shared cache
-    /// (an adopted engine's search counters belong to the building
-    /// tenant, so [`Session::stats`] skips them).
-    engine: OnceLock<(Arc<QueryEngine>, bool)>,
-    horn: OnceLock<Option<Arc<HornProgram>>>,
-    /// Static [`crate::hardness`] score of the module's classical
-    /// image. Dies with the entry on invalidation, so the delta
-    /// machinery keeps predictions as fresh as every other artifact.
-    hardness: OnceLock<f64>,
-}
-
-/// The map slot around a [`ModuleEntry`]: distinct seeds can extract
-/// the *same* axiom set (the empty module most of all) and share the
-/// entry, so the signature the add-side dirty test checks must be the
-/// **union** of every contributing extraction's closed signature. That
-/// stays sound by anti-monotonicity — an axiom `⊤`-local w.r.t. the
-/// union is local w.r.t. each contributing signature, hence w.r.t.
-/// every intermediate signature of each seed's re-extraction — and
-/// errs only toward extra invalidation, never staleness.
-struct ModuleSlot {
-    signature: BTreeSet<SigAtom>,
-    entry: Arc<ModuleEntry>,
-}
-
-/// What the entailment cache remembers per `(a, C̄)` probe: the
-/// classical verdict plus the key of the module that answered it (the
-/// entry dies with that module).
-type CachedVerdict = (bool, Arc<BTreeSet<usize>>);
-
-/// Which side of a mutation an invalidation pass is running for.
-#[derive(Clone, Copy)]
-enum Delta {
-    Add(usize),
-    Retract(usize),
-}
-
 /// A mutable four-valued knowledge base with incremental reasoning.
 ///
 /// Mutation verbs ([`Session::add_axiom`], [`Session::retract_axiom`])
-/// take `&mut self`; query verbs mirror [`crate::Reasoner4`] and take
-/// `&self`. The query pipeline is the full optimized stack — told fast
-/// path, entailment cache, per-module engines, and (under
-/// `Config::horn_path`) the Horn saturation path — with every cache
-/// maintained across mutations by the invalidation pass described in
-/// the module docs.
+/// take `&mut self`; query verbs are [`crate::Reasoner4`]'s and take
+/// `&self`. Queries run the pipeline `Reasoner4` runs, with every rung
+/// on and every probe on its own module, and each mutation maintains
+/// the pipeline's caches by the invalidation pass described in the
+/// module docs.
 pub struct Session {
     /// Tombstoned axiom store: `None` slots are retracted. Slot ids are
     /// stable for the life of the session (module keys index into this).
     slots: Vec<Option<Axiom4>>,
     live: usize,
-    extractor: ModuleExtractor,
-    told: ToldIndex,
-    transformer: Mutex<Transformer>,
-    modules: Mutex<HashMap<BTreeSet<usize>, ModuleSlot>>,
-    /// `(a, C̄) → (verdict, answering module key)`.
-    instance_cache: ShardedMap<(IndividualName, Concept), CachedVerdict>,
-    config: Config,
-    /// `config` with scoping off — what the per-module engines run.
-    sub_config: Config,
-    /// Counters accumulated at session level (mutations, invalidations,
-    /// extraction work, Horn answers) plus the stats of every engine
-    /// retired by invalidation, so nothing is lost when a module dies.
-    stats: Mutex<Stats>,
+    pipeline: Pipeline,
     /// Durability; `None` for in-memory sessions.
     wal: Option<Wal>,
     snapshot_every: usize,
     mutations_since_snapshot: usize,
-    /// Cross-tenant shared cache ([`Session::with_shared`]); `None` for
-    /// standalone sessions.
-    shared: Option<Arc<SharedModuleCache>>,
 }
 
 impl Session {
     /// An in-memory session (no durability) over an initial KB.
     pub fn new(kb: &KnowledgeBase4, config: Config) -> Session {
-        Self::from_axioms(kb.axioms().to_vec(), config)
+        Self::from_axioms(kb.axioms().to_vec(), config, None)
     }
 
     /// An in-memory session wired to a cross-tenant
@@ -237,32 +166,22 @@ impl Session {
         config: Config,
         shared: Arc<SharedModuleCache>,
     ) -> Session {
-        let mut session = Self::from_axioms(kb.axioms().to_vec(), config);
-        session.shared = Some(shared);
-        session
+        Self::from_axioms(kb.axioms().to_vec(), config, Some(shared))
     }
 
-    fn from_axioms(axioms: Vec<Axiom4>, config: Config) -> Session {
+    fn from_axioms(
+        axioms: Vec<Axiom4>,
+        config: Config,
+        shared: Option<Arc<SharedModuleCache>>,
+    ) -> Session {
         let kb = KnowledgeBase4::from_axioms(axioms.iter().cloned());
-        let sub_config = Config {
-            module_scoping: false,
-            ..config.clone()
-        };
         Session {
-            extractor: ModuleExtractor::new(&kb),
-            told: ToldIndex::build(&kb),
+            pipeline: Pipeline::for_session(&kb, config, shared),
             live: axioms.len(),
             slots: axioms.into_iter().map(Some).collect(),
-            transformer: Mutex::new(Transformer::memoized()),
-            modules: Mutex::new(HashMap::new()),
-            instance_cache: ShardedMap::new(),
-            config,
-            sub_config,
-            stats: Mutex::new(Stats::default()),
             wal: None,
             snapshot_every: 0,
             mutations_since_snapshot: 0,
-            shared: None,
         }
     }
 
@@ -292,7 +211,7 @@ impl Session {
         } else {
             Vec::new()
         };
-        let mut session = Self::from_axioms(base, config);
+        let mut session = Self::from_axioms(base, config, None);
 
         let wal_path = dir.join(WAL_FILE);
         let mut declared: BTreeSet<DataRoleName> = BTreeSet::new();
@@ -320,28 +239,28 @@ impl Session {
                     line: lineno + 1,
                     message,
                 };
-                if let Some(decl) = line.strip_prefix("decl ") {
-                    let names = decl
-                        .strip_prefix("DataRole:")
-                        .ok_or_else(|| corrupt(format!("unknown declaration {decl:?}")))?;
-                    declared.extend(names.split_whitespace().map(DataRoleName::new));
-                    continue;
-                }
-                let (op, stmt) = line
-                    .split_once(' ')
-                    .ok_or_else(|| corrupt(format!("unreadable op line {line:?}")))?;
-                let ax = parse_wal_statement(stmt, &declared)
-                    .map_err(|e| corrupt(format!("bad statement {stmt:?}: {e}")))?;
-                match op {
-                    "add" => session.apply_add(ax),
-                    "retract" => {
-                        if session.apply_retract(&ax).is_none() {
-                            return Err(corrupt(format!("retract of absent axiom {stmt:?}")));
-                        }
+                // Only a `decl `-prefixed line may declare, and only an
+                // unprefixed one may mutate.
+                let (decl, statement) = match line.strip_prefix("decl ") {
+                    Some(statement) => (true, statement),
+                    None => (false, line),
+                };
+                match Command::parse(statement, &declared)
+                    .map_err(|e| corrupt(format!("bad statement {statement:?}: {e}")))?
+                {
+                    Command::DeclareDataRoles(names) if decl => declared.extend(names),
+                    Command::Add(ax) if !decl => {
+                        session.apply_add(ax);
+                        replayed += 1;
                     }
-                    other => return Err(corrupt(format!("unknown op {other:?}"))),
+                    Command::Retract(ax) if !decl => {
+                        if session.apply_retract(&ax).is_none() {
+                            return Err(corrupt(format!("retract of absent axiom {line:?}")));
+                        }
+                        replayed += 1;
+                    }
+                    _ => return Err(corrupt(format!("not a log statement: {line:?}"))),
                 }
-                replayed += 1;
             }
             // Truncate the torn tail so appends continue from the last
             // committed line.
@@ -390,11 +309,12 @@ impl Session {
     }
 
     fn apply_add(&mut self, ax: Axiom4) {
-        let id = self.extractor.push_axiom(&ax);
+        let id = self.pipeline.extractor.push_axiom(&ax);
         debug_assert_eq!(id, self.slots.len());
         self.slots.push(Some(ax.clone()));
         self.live += 1;
-        self.invalidate(Delta::Add(id), &ax);
+        self.pipeline.invalidate(Delta::Add(id), &ax, &self.slots);
+        self.mutations_since_snapshot += 1;
     }
 
     fn apply_retract(&mut self, ax: &Axiom4) -> Option<usize> {
@@ -408,70 +328,11 @@ impl Session {
             return false;
         }
         self.live -= 1;
-        self.extractor.remove_axiom(id);
-        self.invalidate(Delta::Retract(id), &ax);
-        true
-    }
-
-    /// The delta-driven invalidation pass (soundness in module docs):
-    /// drop dirty modules (folding their engines' stats into the
-    /// session accumulator), the entailment-cache entries they
-    /// answered, and the told-index rows the axiom touches.
-    fn invalidate(&mut self, delta: Delta, ax: &Axiom4) {
-        let mut s = Stats {
-            mutations: 1,
-            ..Stats::default()
-        };
-        let extractor = &self.extractor;
-        let mut dirty: HashSet<Arc<BTreeSet<usize>>> = HashSet::new();
-        recover(self.modules.get_mut()).retain(|_, slot| {
-            let is_dirty = match delta {
-                Delta::Add(id) => !extractor
-                    .images(id)
-                    .iter()
-                    .all(|im| axiom_local(im, &slot.signature)),
-                Delta::Retract(id) => slot.entry.key.contains(&id),
-            };
-            if is_dirty {
-                if let Some((engine, adopted)) = slot.entry.engine.get() {
-                    if !adopted {
-                        s.absorb(&engine.stats());
-                    }
-                }
-                dirty.insert(Arc::clone(&slot.entry.key));
-            }
-            !is_dirty
-        });
-        s.invalidated_modules += dirty.len() as u64;
-        if !dirty.is_empty() {
-            let removed = self
-                .instance_cache
-                .retain(|_, (_, key)| !dirty.contains(key));
-            s.invalidated_entailments += removed as u64;
-        }
-        let id = match delta {
-            Delta::Add(id) | Delta::Retract(id) => id,
-        };
-        let noted = match delta {
-            Delta::Add(_) => self.told.note_added(id, ax),
-            Delta::Retract(_) => self.told.note_retracted(id, ax),
-        };
-        match noted {
-            Some(rows) => s.invalidated_told_rows += rows as u64,
-            None => {
-                // An equality merge moved the class partition itself:
-                // rebuild the index over the live slots (ids preserved).
-                s.invalidated_told_rows += self.told.memoized_rows() as u64;
-                self.told = ToldIndex::build_indexed(
-                    self.slots
-                        .iter()
-                        .enumerate()
-                        .filter_map(|(i, s)| s.as_ref().map(|ax| (i, ax))),
-                );
-            }
-        }
-        recover(self.stats.get_mut()).absorb(&s);
+        self.pipeline.extractor.remove_axiom(id);
+        self.pipeline
+            .invalidate(Delta::Retract(id), &ax, &self.slots);
         self.mutations_since_snapshot += 1;
+        true
     }
 
     fn maybe_snapshot(&mut self) -> Result<(), SessionError> {
@@ -509,373 +370,25 @@ impl Session {
     /// invalidations, extraction and Horn work, retired engines) plus
     /// every live module engine and the entailment-cache counters.
     pub fn stats(&self) -> Stats {
-        let mut s = *lock_mutex(&self.stats);
-        for slot in lock_mutex(&self.modules).values() {
-            if let Some((engine, adopted)) = slot.entry.engine.get() {
-                // Search counters of a shared engine are attributed to
-                // the tenant that built it; adopters report their
-                // adoption through `shared_module_hits` instead.
-                if !adopted {
-                    s.absorb(&engine.stats());
-                }
-            }
-        }
-        s.entailment_cache_hits += self.instance_cache.hits();
-        s.entailment_cache_misses += self.instance_cache.misses();
-        s
+        self.pipeline.stats()
     }
 
     /// Number of distinct modules currently cached.
     pub fn cached_modules(&self) -> usize {
-        lock_mutex(&self.modules).len()
+        self.pipeline.cached_modules()
     }
 
-    // ------------------------------------------------------------------
-    // Query pipeline (mirrors `Reasoner4` with module scoping + the
-    // Horn path always routed through the session caches).
-    // ------------------------------------------------------------------
-
-    fn module_entry(&self, seed: &BTreeSet<SigAtom>) -> Arc<ModuleEntry> {
-        let t0 = Instant::now();
-        let module = self.extractor.extract(seed);
-        let mut s = Stats {
-            scoped_queries: 1,
-            module_axioms: module.axioms.len() as u64,
-            module_extraction_ns: t0.elapsed().as_nanos() as u64,
-            ..Stats::default()
-        };
-        let mut modules = lock_mutex(&self.modules);
-        let entry = match modules.get_mut(&module.axioms) {
-            Some(slot) => {
-                s.engine_cache_hits = 1;
-                // Same axiom set reached from a different seed: widen the
-                // dirty-test signature to the union (see `ModuleSlot`).
-                slot.signature.extend(module.signature);
-                Arc::clone(&slot.entry)
-            }
-            None => {
-                s.engine_cache_misses = 1;
-                let entry = Arc::new(ModuleEntry {
-                    key: Arc::new(module.axioms.clone()),
-                    skey: OnceLock::new(),
-                    engine: OnceLock::new(),
-                    horn: OnceLock::new(),
-                    hardness: OnceLock::new(),
-                });
-                modules.insert(
-                    module.axioms,
-                    ModuleSlot {
-                        signature: module.signature,
-                        entry: Arc::clone(&entry),
-                    },
-                );
-                entry
-            }
-        };
-        drop(modules);
-        lock_mutex(&self.stats).absorb(&s);
-        entry
-    }
-
-    /// The module's structural key (content address), computed once.
-    fn structural_key(&self, entry: &ModuleEntry) -> Arc<str> {
-        Arc::clone(entry.skey.get_or_init(|| {
-            serve::structural_key(entry.key.iter().flat_map(|&i| self.extractor.images(i)))
-        }))
-    }
-
-    fn engine_of(&self, entry: &ModuleEntry) -> Arc<QueryEngine> {
-        let (engine, _adopted) = entry.engine.get_or_init(|| {
-            let build_kb = || {
-                KnowledgeBase::from_axioms(
-                    entry
-                        .key
-                        .iter()
-                        .flat_map(|&i| self.extractor.images(i).iter().cloned()),
-                )
-            };
-            match &self.shared {
-                Some(shared) => {
-                    let key = self.structural_key(entry);
-                    let mut s = Stats::default();
-                    let slot = match shared.engine(&key) {
-                        Some(engine) => {
-                            s.shared_module_hits = 1;
-                            (engine, true)
-                        }
-                        None => {
-                            // Build with the cache's *neutral* config so a
-                            // per-tenant cancellation token never rides
-                            // along into another tenant's queries.
-                            s.shared_module_misses = 1;
-                            let engine = Arc::new(QueryEngine::with_config(
-                                &build_kb(),
-                                shared.build_config().clone(),
-                            ));
-                            shared.publish_engine(key, Arc::clone(&engine));
-                            (engine, false)
-                        }
-                    };
-                    lock_mutex(&self.stats).absorb(&s);
-                    slot
-                }
-                None => (
-                    Arc::new(QueryEngine::with_config(
-                        &build_kb(),
-                        self.sub_config.clone(),
-                    )),
-                    false,
-                ),
-            }
-        });
-        Arc::clone(engine)
-    }
-
-    /// The module's Horn program (compiled once per entry), or `None`
-    /// with a recorded fallback when its image leaves the Horn fragment.
-    fn horn_of(&self, entry: &ModuleEntry) -> Option<Arc<HornProgram>> {
-        let warm = entry.horn.get().is_some();
-        let program = entry.horn.get_or_init(|| match &self.shared {
-            Some(shared) => {
-                let key = self.structural_key(entry);
-                let mut s = Stats::default();
-                let program = match shared.horn(&key) {
-                    Some(hit) => {
-                        s.shared_module_hits = 1;
-                        hit
-                    }
-                    None => {
-                        s.shared_module_misses = 1;
-                        let program =
-                            horn::compile(entry.key.iter().flat_map(|&i| self.extractor.images(i)))
-                                .map(Arc::new);
-                        shared.publish_horn(key, program.clone());
-                        program
-                    }
-                };
-                lock_mutex(&self.stats).absorb(&s);
-                program
-            }
-            None => horn::compile(entry.key.iter().flat_map(|&i| self.extractor.images(i)))
-                .map(Arc::new),
-        });
-        let mut s = Stats::default();
-        if warm {
-            s.horn_cache_hits = 1;
-        } else {
-            s.horn_cache_misses = 1;
-            s.horn_clauses = program.as_ref().map_or(0, |p| p.clause_count());
-        }
-        if program.is_none() {
-            s.horn_fallbacks = 1;
-        }
-        lock_mutex(&self.stats).absorb(&s);
-        program.clone()
-    }
-
-    fn record_horn_answer(&self, rounds: u64) {
-        lock_mutex(&self.stats).absorb(&Stats {
-            horn_queries: 1,
-            saturation_rounds: rounds,
-            ..Stats::default()
-        });
-    }
-
-    /// The module's static hardness score ([`crate::hardness`]),
-    /// computed once per entry and shared cross-tenant under the
-    /// structural key. Pure analysis — no engine is built and no search
-    /// runs — so admission control can afford it on every request.
-    fn hardness_of(&self, entry: &ModuleEntry) -> f64 {
-        *entry.hardness.get_or_init(|| match &self.shared {
-            Some(shared) => {
-                let key = self.structural_key(entry);
-                match shared.score(&key) {
-                    Some(score) => score,
-                    None => {
-                        let score = self.analyze_entry(entry);
-                        shared.publish_score(key, score);
-                        score
-                    }
-                }
-            }
-            None => self.analyze_entry(entry),
-        })
-    }
-
-    fn analyze_entry(&self, entry: &ModuleEntry) -> f64 {
-        hardness::analyze_images(entry.key.iter().flat_map(|&i| self.extractor.images(i))).score
-    }
-
-    /// Predicted hardness of [`Session::query`]`(a, c)`: the maximum
-    /// score over the modules the positive and negative probes extract.
-    pub fn predicted_hardness(&self, a: &IndividualName, c: &Concept) -> f64 {
-        let (tc, ntc) = {
-            let mut tr = lock_mutex(&self.transformer);
-            (tr.concept(c), tr.neg_concept(c))
-        };
-        let mut score = 0.0f64;
-        for t in [&tc, &ntc] {
-            let mut seed = BTreeSet::new();
-            dataflow::classical_concept_atoms(t, &mut seed);
-            seed.insert(SigAtom::Individual(a.clone()));
-            let entry = self.module_entry(&seed);
-            score = score.max(self.hardness_of(&entry));
-        }
-        score
-    }
-
-    /// Predicted hardness of [`Session::query_role`] — the maximum over
-    /// its two entailment probes' modules.
-    pub fn predicted_hardness_role(
-        &self,
-        r: &RoleName,
-        a: &IndividualName,
-        b: &IndividualName,
-    ) -> f64 {
-        let pos = Axiom::RoleAssertion(r.with_suffix(transform::POS_SUFFIX), a.clone(), b.clone());
-        let neg = Axiom::ConceptAssertion(
-            a.clone(),
-            Concept::all(
-                RoleExpr::named(r.with_suffix(transform::EQ_SUFFIX)),
-                Concept::one_of([b.clone()]).not(),
-            ),
-        );
-        let mut score = 0.0f64;
-        for ax in [&pos, &neg] {
-            let mut seed = BTreeSet::new();
-            dataflow::classical_axiom_atoms(ax, &mut seed);
-            let entry = self.module_entry(&seed);
-            score = score.max(self.hardness_of(&entry));
-        }
-        score
-    }
-
-    /// Predicted hardness of [`Session::entails`]`(ax)`: the module
-    /// seeded by the union of the axiom's classical-image atoms — a
-    /// superset of every per-probe seed `entails` uses, so the
-    /// prediction can only err toward classifying heavy.
-    pub fn predicted_hardness_axiom(&self, ax: &Axiom4) -> f64 {
-        let images = lock_mutex(&self.transformer).axiom(ax);
-        let mut seed = BTreeSet::new();
-        for im in &images {
-            dataflow::classical_axiom_atoms(im, &mut seed);
-        }
-        let entry = self.module_entry(&seed);
-        self.hardness_of(&entry)
-    }
-
-    /// Predicted hardness of [`Session::is_satisfiable`] (the ∅-seed
-    /// module — the whole non-`⊤`-local part of the KB).
-    pub fn predicted_hardness_check(&self) -> f64 {
-        let entry = self.module_entry(&BTreeSet::new());
-        self.hardness_of(&entry)
-    }
-
-    /// Instance check `K̄ ⊨ a : tc` through the module caches; returns
-    /// the verdict and the answering module key (the entailment-cache
-    /// tag).
-    fn engine_instance(
-        &self,
-        a: &IndividualName,
-        tc: &Concept,
-    ) -> Result<(bool, Arc<BTreeSet<usize>>), ReasonerError> {
-        let mut seed = BTreeSet::new();
-        dataflow::classical_concept_atoms(tc, &mut seed);
-        seed.insert(SigAtom::Individual(a.clone()));
-        let entry = self.module_entry(&seed);
-        if let Some(hit) = self.shared_row(&entry, || format!("i\u{1}{a:?}\u{1}{tc:?}")) {
-            return Ok((hit, Arc::clone(&entry.key)));
-        }
-        if self.config.horn_path {
-            if let Concept::Atomic(goal) = tc {
-                if let Some(program) = self.horn_of(&entry) {
-                    let answer = program.is_instance(a, goal);
-                    self.record_horn_answer(answer.rounds);
-                    self.publish_row(&entry, format!("i\u{1}{a:?}\u{1}{tc:?}"), answer.holds);
-                    return Ok((answer.holds, Arc::clone(&entry.key)));
-                }
-            }
-        }
-        let verdict = self.engine_of(&entry).is_instance_of(a, tc)?;
-        self.publish_row(&entry, format!("i\u{1}{a:?}\u{1}{tc:?}"), verdict);
-        Ok((verdict, Arc::clone(&entry.key)))
-    }
-
-    /// Cross-tenant verdict row lookup under the module's structural
-    /// key; `None` when no shared cache is wired or the row is cold.
-    fn shared_row(&self, entry: &ModuleEntry, probe: impl FnOnce() -> String) -> Option<bool> {
-        let shared = self.shared.as_ref()?;
-        let hit = shared.row(&(self.structural_key(entry), probe()));
-        let mut s = Stats::default();
-        match hit {
-            Some(_) => s.shared_row_hits = 1,
-            None => s.shared_row_misses = 1,
-        }
-        lock_mutex(&self.stats).absorb(&s);
-        hit
-    }
-
-    /// Publish a computed verdict row for identical modules elsewhere.
-    fn publish_row(&self, entry: &ModuleEntry, probe: String, verdict: bool) {
-        if let Some(shared) = &self.shared {
-            shared.publish_row((self.structural_key(entry), probe), verdict);
-        }
-    }
-
-    fn cached_instance(&self, a: &IndividualName, tc: &Concept) -> Result<bool, ReasonerError> {
-        let key = (a.clone(), tc.clone());
-        if let Some((hit, _)) = self.instance_cache.get(&key) {
-            return Ok(hit);
-        }
-        let (answer, module_key) = self.engine_instance(a, tc)?;
-        self.instance_cache.insert(key, (answer, module_key));
-        Ok(answer)
-    }
-
-    fn engine_concept_sat(&self, test: &Concept) -> Result<bool, ReasonerError> {
-        let mut seed = BTreeSet::new();
-        dataflow::classical_concept_atoms(test, &mut seed);
-        let entry = self.module_entry(&seed);
-        if let Some(hit) = self.shared_row(&entry, || format!("s\u{1}{test:?}")) {
-            return Ok(hit);
-        }
-        if self.config.horn_path {
-            if let Some((sub, sup)) = subsumption_probe(test) {
-                if let Some(program) = self.horn_of(&entry) {
-                    let answer = program.subsumes(sub, sup);
-                    self.record_horn_answer(answer.rounds);
-                    self.publish_row(&entry, format!("s\u{1}{test:?}"), !answer.holds);
-                    return Ok(!answer.holds);
-                }
-            }
-        }
-        let verdict = self.engine_of(&entry).is_concept_satisfiable(test)?;
-        self.publish_row(&entry, format!("s\u{1}{test:?}"), verdict);
-        Ok(verdict)
-    }
-
-    fn engine_entails(&self, ax: &Axiom) -> Result<bool, ReasonerError> {
-        let mut seed = BTreeSet::new();
-        dataflow::classical_axiom_atoms(ax, &mut seed);
-        let entry = self.module_entry(&seed);
-        if let Some(hit) = self.shared_row(&entry, || format!("e\u{1}{ax:?}")) {
-            return Ok(hit);
-        }
-        let verdict = self.engine_of(&entry).entails(ax)?;
-        self.publish_row(&entry, format!("e\u{1}{ax:?}"), verdict);
-        Ok(verdict)
+    /// Predicted hardness of a command: the maximum static
+    /// [`crate::hardness`] score over the modules its probes touch
+    /// (`0.0` for commands that run no search). Pure analysis, cached
+    /// per module, so admission control can afford it on every request.
+    pub fn predicted_hardness(&self, command: &Command) -> f64 {
+        self.pipeline.predicted_hardness(command)
     }
 
     /// Is the (current) four-valued KB satisfiable?
     pub fn is_satisfiable(&self) -> Result<bool, ReasonerError> {
-        let entry = self.module_entry(&BTreeSet::new());
-        if self.config.horn_path && self.horn_of(&entry).is_some() {
-            // A Horn ∅-seed module is always satisfiable (the
-            // fragment excludes every construct with classical bite).
-            self.record_horn_answer(0);
-            return Ok(true);
-        }
-        self.engine_of(&entry).is_consistent()
+        self.pipeline.is_satisfiable()
     }
 
     /// Is there information supporting `a : C`?
@@ -884,13 +397,7 @@ impl Session {
         a: &IndividualName,
         c: &Concept,
     ) -> Result<bool, ReasonerError> {
-        if let Concept::Atomic(name) = c {
-            if self.told.verdict(a, name).0 {
-                return Ok(true);
-            }
-        }
-        let tc = lock_mutex(&self.transformer).concept(c);
-        self.cached_instance(a, &tc)
+        self.pipeline.membership_info(a, c, false)
     }
 
     /// Is there information *against* `a : C`?
@@ -899,21 +406,12 @@ impl Session {
         a: &IndividualName,
         c: &Concept,
     ) -> Result<bool, ReasonerError> {
-        if let Concept::Atomic(name) = c {
-            if self.told.verdict(a, name).1 {
-                return Ok(true);
-            }
-        }
-        let tc = lock_mutex(&self.transformer).neg_concept(c);
-        self.cached_instance(a, &tc)
+        self.pipeline.membership_info(a, c, true)
     }
 
     /// The four-valued answer about a membership.
     pub fn query(&self, a: &IndividualName, c: &Concept) -> Result<TruthValue, ReasonerError> {
-        Ok(TruthValue::from_bits(
-            self.has_positive_info(a, c)?,
-            self.has_negative_info(a, c)?,
-        ))
+        self.pipeline.query(a, c)
     }
 
     /// The four-valued answer about a role membership.
@@ -923,69 +421,12 @@ impl Session {
         a: &IndividualName,
         b: &IndividualName,
     ) -> Result<TruthValue, ReasonerError> {
-        let pos = self.engine_entails(&Axiom::RoleAssertion(
-            r.with_suffix(transform::POS_SUFFIX),
-            a.clone(),
-            b.clone(),
-        ))?;
-        let neg = self.engine_entails(&Axiom::ConceptAssertion(
-            a.clone(),
-            Concept::all(
-                RoleExpr::named(r.with_suffix(transform::EQ_SUFFIX)),
-                Concept::one_of([b.clone()]).not(),
-            ),
-        ))?;
-        Ok(TruthValue::from_bits(pos, neg))
+        self.pipeline.query_role(r, a, b)
     }
 
-    /// Does the current KB four-valued-entail the axiom? (Corollary 7
-    /// for inclusions, image entailment otherwise — the session twin of
-    /// [`crate::Reasoner4::entails`].)
+    /// Does the current KB four-valued-entail the axiom?
     pub fn entails(&self, ax: &Axiom4) -> Result<bool, ReasonerError> {
-        match ax {
-            Axiom4::ConceptInclusion(kind, c, d) => {
-                if *kind == InclusionKind::Internal {
-                    if let (Concept::Atomic(a), Concept::Atomic(b)) = (c, d) {
-                        if self.told.told_subsumes(a, b) {
-                            return Ok(true);
-                        }
-                    }
-                }
-                let (cbar, neg_cbar, dbar, neg_dbar) = {
-                    let mut tr = lock_mutex(&self.transformer);
-                    (
-                        tr.concept(c),
-                        tr.neg_concept(c),
-                        tr.concept(d),
-                        tr.neg_concept(d),
-                    )
-                };
-                match kind {
-                    InclusionKind::Material => {
-                        let test = neg_cbar.not().and(dbar.not());
-                        Ok(!self.engine_concept_sat(&test)?)
-                    }
-                    InclusionKind::Internal => {
-                        let test = cbar.and(dbar.not());
-                        Ok(!self.engine_concept_sat(&test)?)
-                    }
-                    InclusionKind::Strong => {
-                        let fwd = cbar.and(dbar.not());
-                        let bwd = neg_dbar.and(neg_cbar.not());
-                        Ok(!self.engine_concept_sat(&fwd)? && !self.engine_concept_sat(&bwd)?)
-                    }
-                }
-            }
-            other => {
-                let images = lock_mutex(&self.transformer).axiom(other);
-                for classical_ax in images {
-                    if !self.engine_entails(&classical_ax)? {
-                        return Ok(false);
-                    }
-                }
-                Ok(true)
-            }
-        }
+        self.pipeline.entails(ax)
     }
 }
 
@@ -1057,26 +498,6 @@ impl Wal {
         writeln!(self.file, "{WAL_HEADER}")?;
         self.declared.clear();
         Ok(())
-    }
-}
-
-/// Parse one WAL axiom statement under the accumulated data-role
-/// declarations.
-fn parse_wal_statement(stmt: &str, declared: &BTreeSet<DataRoleName>) -> Result<Axiom4, String> {
-    let mut src = String::new();
-    if !declared.is_empty() {
-        src.push_str("DataRole:");
-        for u in declared {
-            src.push(' ');
-            src.push_str(u.as_str());
-        }
-        src.push('\n');
-    }
-    src.push_str(stmt);
-    let kb = parse_kb4(&src).map_err(|e| e.to_string())?;
-    match kb.axioms() {
-        [ax] => Ok(ax.clone()),
-        other => Err(format!("expected one axiom, parsed {}", other.len())),
     }
 }
 

@@ -51,6 +51,7 @@
 
 pub mod analysis;
 pub mod cache;
+pub mod command;
 pub mod dataflow;
 pub mod hardness;
 pub mod horn;
@@ -61,6 +62,7 @@ pub mod interp4;
 pub mod json;
 pub mod kb4;
 pub mod parser4;
+mod pipeline;
 pub mod printer4;
 pub mod reasoner4;
 pub mod serve;

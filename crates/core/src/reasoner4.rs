@@ -1,5 +1,6 @@
-//! Paraconsistent reasoning services for SHOIN(D)4, executed by the
-//! classical tableau on the induced KB `K̄` (Theorem 6 / Corollary 7).
+//! Paraconsistent reasoning services for SHOIN(D)4 over an immutable
+//! knowledge base, executed by the classical tableau on the induced KB
+//! `K̄` (Theorem 6 / Corollary 7).
 //!
 //! The query vocabulary deliberately mirrors the paper's phrasing:
 //! "is there any information indicating …?" A four-valued KB answers a
@@ -10,39 +11,20 @@
 //! * `⊤` — both (the KB is contradictory *about this particular fact*);
 //! * `⊥` — no information either way.
 //!
-//! # The batch query pipeline
-//!
-//! Every service takes `&self`: the tableau work runs on a shared
-//! [`tableau::QueryEngine`] and the reasoner-level state is three caches
-//! behind mutexes, so a [`Reasoner4`] can be borrowed by any number of
-//! `std::thread::scope` workers at once ([`Reasoner4::query_batch`] does
-//! exactly that). A membership query passes through, in order:
-//!
-//! 1. **memoized transformation** — `C ↦ C̄` (Definitions 5–7) is
-//!    computed once per distinct concept, not once per query;
-//! 2. **told fast path** (optional) — a syntactically-certain verdict
-//!    from the [`crate::told::ToldIndex`] answers `true` without any
-//!    search; soundness is argued in that module's docs;
-//! 3. **entailment cache** — exact results keyed by
-//!    `(individual, transformed concept)`;
-//! 4. **the tableau** — via the engine, which itself applies
-//!    model-based pruning and the shared consistency cache.
+//! A [`Reasoner4`] is the query pipeline it shares with
+//! [`crate::Session`] (told index → entailment cache → module → Horn →
+//! tableau) over one transformed KB, plus [`QueryOptions`] and the parallel
+//! [`Reasoner4::query_batch`]. Every service takes `&self`, so a
+//! reasoner can be borrowed by any number of `std::thread::scope`
+//! workers at once.
 
-use crate::cache::{lock_mutex, ShardedMap};
-use crate::dataflow::{self, ModuleExtractor, SigAtom};
-use crate::horn::{self, HornProgram};
-use crate::inclusion::InclusionKind;
 use crate::kb4::{Axiom4, KnowledgeBase4};
-use crate::told::ToldIndex;
-use crate::transform::{self, Transformer};
-use dl::axiom::{Axiom, RoleExpr};
+use crate::pipeline::Pipeline;
+use crate::transform;
 use dl::kb::KnowledgeBase;
 use dl::name::{ConceptName, IndividualName, RoleName};
 use dl::Concept;
 use fourval::TruthValue;
-use std::collections::{BTreeSet, HashMap};
-use std::sync::{Arc, Mutex};
-use std::time::Instant;
 use tableau::{Config, QueryEngine, ReasonerError, Stats};
 
 /// Knobs for the batch query pipeline (orthogonal to the tableau
@@ -95,150 +77,14 @@ impl QueryOptions {
 
 /// A reasoner over a SHOIN(D)4 knowledge base.
 ///
-/// Construction transforms the KB once (Definitions 5–7) and hands the
-/// classical induced KB to a shared [`tableau::QueryEngine`]. The `&mut`
-/// receivers of the historical API are kept as `&self` — existing callers
-/// holding a mutable reasoner keep working, and new callers can fan
-/// queries out across threads.
+/// Construction transforms the KB once (Definitions 5–7). Without
+/// `Config::module_scoping` every probe the Horn rung does not settle
+/// runs on one [`QueryEngine`] over all of `K̄`; with it, each probe
+/// runs on an engine over its own extracted module.
 pub struct Reasoner4 {
     induced: KnowledgeBase,
-    engine: QueryEngine,
     opts: QueryOptions,
-    /// Memoized Definition 5–7 transformation (π and ¬π tables).
-    transformer: Mutex<Transformer>,
-    /// Exact entailment results: `(a, C̄) → K̄ ⊨ a : C̄`. Sharded so
-    /// `--jobs` batch workers don't serialize on one cache lock.
-    instance_cache: ShardedMap<(IndividualName, Concept), bool>,
-    told: Option<ToldIndex>,
-    /// Module-scoped execution (`Config::module_scoping`): per-query
-    /// seed → `⊤`-locality module → a small engine over just that
-    /// module. `None` when scoping is off (the default).
-    scoping: Option<Scoping>,
-    /// Consequence-driven Horn fast path (`Config::horn_path`): atomic
-    /// goals whose module compiles to a Horn program are answered by
-    /// saturation, everything else falls through to scoping / the full
-    /// tableau. `None` when the fast path is off.
-    horn: Option<HornRouter>,
-}
-
-/// State for module-scoped query execution: the extractor (built once
-/// per KB) plus a cache of engines keyed by the extracted module, so
-/// queries that land in the same region share one preprocessed engine.
-struct Scoping {
-    extractor: Arc<ModuleExtractor>,
-    engines: Mutex<HashMap<BTreeSet<usize>, Arc<QueryEngine>>>,
-    config: Config,
-}
-
-impl Scoping {
-    /// Extract the module for `seed` and return the engine over it,
-    /// recording the extraction counters into `main` (the full-KB
-    /// engine merges all module-scoping stats, so `Reasoner4::stats`
-    /// reports the whole pipeline from one place).
-    fn engine_for_seed(&self, main: &QueryEngine, seed: &BTreeSet<SigAtom>) -> Arc<QueryEngine> {
-        let t0 = Instant::now();
-        let module = self.extractor.extract(seed);
-        main.merge_stats(&Stats {
-            scoped_queries: 1,
-            module_axioms: module.axioms.len() as u64,
-            module_extraction_ns: t0.elapsed().as_nanos() as u64,
-            ..Stats::default()
-        });
-        let mut engines = lock_mutex(&self.engines);
-        if let Some(e) = engines.get(&module.axioms) {
-            main.merge_stats(&Stats {
-                engine_cache_hits: 1,
-                ..Stats::default()
-            });
-            return Arc::clone(e);
-        }
-        main.merge_stats(&Stats {
-            engine_cache_misses: 1,
-            ..Stats::default()
-        });
-        let kb = self.extractor.induced_module_kb(&module);
-        let engine = Arc::new(QueryEngine::with_config(&kb, self.config.clone()));
-        engines.insert(module.axioms.clone(), Arc::clone(&engine));
-        engine
-    }
-}
-
-/// State for the Horn fast path: the (shared) module extractor plus a
-/// cache of compiled programs keyed by the extracted module, with `None`
-/// recording "this module is not Horn" so classification runs once per
-/// module, not once per query.
-struct HornRouter {
-    extractor: Arc<ModuleExtractor>,
-    programs: Mutex<HashMap<BTreeSet<usize>, Option<Arc<HornProgram>>>>,
-}
-
-impl HornRouter {
-    /// Extract the module for `seed` and return its compiled Horn
-    /// program, or `None` (recording one fallback) when the module's
-    /// classical image leaves the Horn fragment. Compilation counters
-    /// merge into `main` exactly once per distinct module.
-    fn program_for_seed(
-        &self,
-        main: &QueryEngine,
-        seed: &BTreeSet<SigAtom>,
-    ) -> Option<Arc<HornProgram>> {
-        let module = self.extractor.extract(seed);
-        let mut programs = lock_mutex(&self.programs);
-        let hit = match programs.get(&module.axioms) {
-            Some(entry) => {
-                main.merge_stats(&Stats {
-                    horn_cache_hits: 1,
-                    ..Stats::default()
-                });
-                entry.clone()
-            }
-            None => {
-                let images = module.axioms.iter().flat_map(|&i| self.extractor.images(i));
-                let program = horn::compile(images).map(Arc::new);
-                main.merge_stats(&Stats {
-                    horn_cache_misses: 1,
-                    horn_clauses: program.as_ref().map_or(0, |p| p.clause_count()),
-                    ..Stats::default()
-                });
-                programs.insert(module.axioms.clone(), program.clone());
-                program
-            }
-        };
-        drop(programs);
-        if hit.is_none() {
-            main.merge_stats(&Stats {
-                horn_fallbacks: 1,
-                ..Stats::default()
-            });
-        }
-        hit
-    }
-
-    /// Record one answered Horn query (plus any fresh saturation work).
-    fn record_answer(main: &QueryEngine, rounds: u64) {
-        main.merge_stats(&Stats {
-            horn_queries: 1,
-            saturation_rounds: rounds,
-            ..Stats::default()
-        });
-    }
-}
-
-/// Does this classical test concept have the shape `P ⊓ ¬Q` for atomic
-/// `P`, `Q` — the (un)satisfiability probe [`Reasoner4::entails`] builds
-/// for atomic internal/strong inclusions? Those are exactly the
-/// subsumption questions the Horn engine can answer.
-pub(crate) fn subsumption_probe(test: &Concept) -> Option<(&ConceptName, &ConceptName)> {
-    let Concept::And(lhs, rhs) = test else {
-        return None;
-    };
-    let (Concept::Atomic(sub), Concept::Not(negated)) = (&**lhs, &**rhs) else {
-        return None;
-    };
-    let Concept::Atomic(sup) = &**negated else {
-        return None;
-    };
-    Some((sub, sup))
+    pipeline: Pipeline,
 }
 
 impl Reasoner4 {
@@ -255,34 +101,13 @@ impl Reasoner4 {
     /// Build with explicit tableau *and* pipeline configuration.
     pub fn with_options(kb4: &KnowledgeBase4, config: Config, opts: QueryOptions) -> Self {
         let induced = transform::transform_kb(kb4);
-        let engine = QueryEngine::with_config(&induced, config.clone());
-        let told = opts.told_fast_path.then(|| ToldIndex::build(kb4));
-        // Scoping and the Horn router both work per extracted module;
-        // they share one extractor (dependency graph + classical images).
-        let extractor = (config.module_scoping || config.horn_path)
-            .then(|| Arc::new(ModuleExtractor::new(kb4)));
-        let scoping = config.module_scoping.then(|| Scoping {
-            extractor: Arc::clone(extractor.as_ref().expect("extractor built")),
-            engines: Mutex::new(HashMap::new()),
-            config: Config {
-                // Scoped sub-engines answer plain classical queries.
-                module_scoping: false,
-                ..config.clone()
-            },
-        });
-        let horn = config.horn_path.then(|| HornRouter {
-            extractor: extractor.expect("extractor built"),
-            programs: Mutex::new(HashMap::new()),
-        });
+        let full =
+            (!config.module_scoping).then(|| QueryEngine::with_config(&induced, config.clone()));
+        let pipeline = Pipeline::new(kb4, config, &opts, full);
         Reasoner4 {
             induced,
-            engine,
             opts,
-            transformer: Mutex::new(Transformer::memoized()),
-            instance_cache: ShardedMap::new(),
-            told,
-            scoping,
-            horn,
+            pipeline,
         }
     }
 
@@ -292,136 +117,22 @@ impl Reasoner4 {
         &self.induced
     }
 
-    /// The shared classical engine executing the reductions.
-    pub fn engine(&self) -> &QueryEngine {
-        &self.engine
-    }
-
     /// Active pipeline options.
     pub fn options(&self) -> &QueryOptions {
         &self.opts
     }
 
-    /// Accumulated tableau statistics. Under module scoping this folds
-    /// in every scoped sub-engine's counters plus the module-extraction
-    /// counters (`scoped_queries`, `module_axioms`,
-    /// `module_extraction_ns`), which the main engine merged at query
-    /// time.
+    /// Accumulated statistics: tableau search counters of every engine
+    /// plus the pipeline's module, Horn and cache counters.
     pub fn stats(&self) -> Stats {
-        let mut s = self.engine.stats();
-        if let Some(sc) = &self.scoping {
-            for e in lock_mutex(&sc.engines).values() {
-                s.absorb(&e.stats());
-            }
-        }
-        s.entailment_cache_hits += self.instance_cache.hits();
-        s.entailment_cache_misses += self.instance_cache.misses();
-        s
+        self.pipeline.stats()
     }
 
     /// The told-index verdict for `(a, c)`, if the fast path is enabled:
     /// `(certain positive, certain negative)`. Exposed so tests can check
     /// every told claim against the tableau.
     pub fn told_verdict(&self, a: &IndividualName, c: &ConceptName) -> Option<(bool, bool)> {
-        self.told.as_ref().map(|t| t.verdict(a, c))
-    }
-
-    /// Memoized `π(C)` (positive transformation).
-    fn transformed(&self, c: &Concept) -> Concept {
-        lock_mutex(&self.transformer).concept(c)
-    }
-
-    /// Memoized `π(¬C)` (negative transformation).
-    fn transformed_neg(&self, c: &Concept) -> Concept {
-        lock_mutex(&self.transformer).neg_concept(c)
-    }
-
-    /// Instance check `K̄ ⊨ a : tc`, routed through the module of the
-    /// query signature when scoping is on. Sound because `sig(a : tc)`
-    /// is contained in the extraction seed, so the module preserves the
-    /// verdict both ways (see `crate::dataflow` docs).
-    fn engine_instance(&self, a: &IndividualName, tc: &Concept) -> Result<bool, ReasonerError> {
-        // Horn fast path: an atomic (split) goal over a Horn module is
-        // answered by saturation — no tableau, no sub-engine. Complex
-        // goals and non-Horn modules fall through unchanged.
-        if let Some(h) = &self.horn {
-            if let Concept::Atomic(goal) = tc {
-                let mut seed = BTreeSet::new();
-                dataflow::classical_concept_atoms(tc, &mut seed);
-                seed.insert(SigAtom::Individual(a.clone()));
-                if let Some(program) = h.program_for_seed(&self.engine, &seed) {
-                    let answer = program.is_instance(a, goal);
-                    HornRouter::record_answer(&self.engine, answer.rounds);
-                    return Ok(answer.holds);
-                }
-            }
-        }
-        if let Some(sc) = &self.scoping {
-            let mut seed = BTreeSet::new();
-            dataflow::classical_concept_atoms(tc, &mut seed);
-            seed.insert(SigAtom::Individual(a.clone()));
-            return sc
-                .engine_for_seed(&self.engine, &seed)
-                .is_instance_of(a, tc);
-        }
-        self.engine.is_instance_of(a, tc)
-    }
-
-    /// Classical axiom entailment over `K̄`, module-scoped by the
-    /// axiom's own signature when scoping is on.
-    fn engine_entails(&self, ax: &Axiom) -> Result<bool, ReasonerError> {
-        if let Some(sc) = &self.scoping {
-            let mut seed = BTreeSet::new();
-            dataflow::classical_axiom_atoms(ax, &mut seed);
-            return sc.engine_for_seed(&self.engine, &seed).entails(ax);
-        }
-        self.engine.entails(ax)
-    }
-
-    /// Concept satisfiability w.r.t. `K̄`, module-scoped by the test
-    /// concept's signature when scoping is on. (Sound in both
-    /// directions: a module model expands to a full-KB model preserving
-    /// the extension of every seed-signature concept.)
-    fn engine_concept_sat(&self, test: &Concept) -> Result<bool, ReasonerError> {
-        // Horn fast path for the `P ⊓ ¬Q` probes of atomic inclusion
-        // entailment: `P ⊓ ¬Q` is satisfiable w.r.t. a Horn module iff
-        // the module does *not* derive `Q` from `{P}`. (Material probes
-        // have the shape `¬C⁻' ⊓ ¬Q` and never match — material
-        // inclusions stay on the tableau, mirroring the told index.)
-        if let Some(h) = &self.horn {
-            if let Some((sub, sup)) = subsumption_probe(test) {
-                let mut seed = BTreeSet::new();
-                dataflow::classical_concept_atoms(test, &mut seed);
-                if let Some(program) = h.program_for_seed(&self.engine, &seed) {
-                    let answer = program.subsumes(sub, sup);
-                    HornRouter::record_answer(&self.engine, answer.rounds);
-                    return Ok(!answer.holds);
-                }
-            }
-        }
-        if let Some(sc) = &self.scoping {
-            let mut seed = BTreeSet::new();
-            dataflow::classical_concept_atoms(test, &mut seed);
-            return sc
-                .engine_for_seed(&self.engine, &seed)
-                .is_concept_satisfiable(test);
-        }
-        self.engine.is_concept_satisfiable(test)
-    }
-
-    /// Instance check over `K̄` through the entailment cache.
-    fn cached_instance(&self, a: &IndividualName, tc: &Concept) -> Result<bool, ReasonerError> {
-        if self.opts.entailment_cache {
-            let key = (a.clone(), tc.clone());
-            if let Some(hit) = self.instance_cache.get(&key) {
-                return Ok(hit);
-            }
-            let answer = self.engine_instance(a, tc)?;
-            self.instance_cache.insert(key, answer);
-            Ok(answer)
-        } else {
-            self.engine_instance(a, tc)
-        }
+        self.pipeline.told_verdict(a, c)
     }
 
     /// Is the four-valued KB satisfiable? (Theorem 6: iff `K̄` is.)
@@ -430,26 +141,7 @@ impl Reasoner4 {
     /// with classical behaviour (nominals, number restrictions, `⊥`,
     /// distinctness) can make a SHOIN(D)4 KB unsatisfiable.
     pub fn is_satisfiable(&self) -> Result<bool, ReasonerError> {
-        // A Horn ∅-seed module (the never-⊤-local core) is always
-        // satisfiable: the fragment excludes every construct with
-        // classical bite (`⊥`, nominals, counting, equality).
-        if let Some(h) = &self.horn {
-            if let Some(_program) = h.program_for_seed(&self.engine, &BTreeSet::new()) {
-                HornRouter::record_answer(&self.engine, 0);
-                return Ok(true);
-            }
-        }
-        if let Some(sc) = &self.scoping {
-            // The ∅-seeded module is exactly the never-⊤-local core —
-            // the only axioms that can make a SHOIN(D)4 KB
-            // unsatisfiable (nominals, distinctness, negative role
-            // assertions and what they pull in). Both directions of the
-            // module property apply with an empty query signature.
-            return sc
-                .engine_for_seed(&self.engine, &BTreeSet::new())
-                .is_consistent();
-        }
-        self.engine.is_consistent()
+        self.pipeline.is_satisfiable()
     }
 
     /// Is there information supporting `a : C`? (`K̄ ⊨ ā : C̄`.)
@@ -458,13 +150,7 @@ impl Reasoner4 {
         a: &IndividualName,
         c: &Concept,
     ) -> Result<bool, ReasonerError> {
-        if let (Some(told), Concept::Atomic(name)) = (&self.told, c) {
-            if told.verdict(a, name).0 {
-                return Ok(true);
-            }
-        }
-        let tc = self.transformed(c);
-        self.cached_instance(a, &tc)
+        self.pipeline.membership_info(a, c, false)
     }
 
     /// Is there information *against* `a : C`? (`K̄ ⊨ ā : ¬C̄`, i.e. the
@@ -474,22 +160,13 @@ impl Reasoner4 {
         a: &IndividualName,
         c: &Concept,
     ) -> Result<bool, ReasonerError> {
-        if let (Some(told), Concept::Atomic(name)) = (&self.told, c) {
-            if told.verdict(a, name).1 {
-                return Ok(true);
-            }
-        }
-        let tc = self.transformed_neg(c);
-        self.cached_instance(a, &tc)
+        self.pipeline.membership_info(a, c, true)
     }
 
     /// The four-valued answer to "what does the KB know about `a : C`?",
     /// combining the two entailment queries.
     pub fn query(&self, a: &IndividualName, c: &Concept) -> Result<TruthValue, ReasonerError> {
-        Ok(TruthValue::from_bits(
-            self.has_positive_info(a, c)?,
-            self.has_negative_info(a, c)?,
-        ))
+        self.pipeline.query(a, c)
     }
 
     /// Answer a batch of membership queries, fanning out across
@@ -550,11 +227,7 @@ impl Reasoner4 {
         a: &IndividualName,
         b: &IndividualName,
     ) -> Result<bool, ReasonerError> {
-        self.engine_entails(&Axiom::RoleAssertion(
-            r.with_suffix(transform::POS_SUFFIX),
-            a.clone(),
-            b.clone(),
-        ))
+        self.pipeline.role_info(r, a, b, false)
     }
 
     /// Is there information against `R(a, b)`?
@@ -565,13 +238,7 @@ impl Reasoner4 {
         a: &IndividualName,
         b: &IndividualName,
     ) -> Result<bool, ReasonerError> {
-        self.engine_entails(&Axiom::ConceptAssertion(
-            a.clone(),
-            Concept::all(
-                RoleExpr::named(r.with_suffix(transform::EQ_SUFFIX)),
-                Concept::one_of([b.clone()]).not(),
-            ),
-        ))
+        self.pipeline.role_info(r, a, b, true)
     }
 
     /// The four-valued answer about a role membership.
@@ -581,71 +248,14 @@ impl Reasoner4 {
         a: &IndividualName,
         b: &IndividualName,
     ) -> Result<TruthValue, ReasonerError> {
-        Ok(TruthValue::from_bits(
-            self.has_positive_role_info(r, a, b)?,
-            self.has_negative_role_info(r, a, b)?,
-        ))
+        self.pipeline.query_role(r, a, b)
     }
 
     /// Does the KB four-valued-entail the axiom? Inclusion axioms go
     /// through Corollary 7; everything else reduces to entailment over
     /// `K̄`.
     pub fn entails(&self, ax: &Axiom4) -> Result<bool, ReasonerError> {
-        match ax {
-            Axiom4::ConceptInclusion(kind, c, d) => {
-                // Told fast path: a non-material atomic chain certifies
-                // the *internal* inclusion (`proj⁺` flows along every
-                // edge). It does NOT certify the material reading — `↦`
-                // quantifies over `Δ∖proj⁻(C)`, a superset of `proj⁺(C)`
-                // — nor the strong one (no contraposition evidence).
-                if *kind == InclusionKind::Internal {
-                    if let (Some(told), Concept::Atomic(a), Concept::Atomic(b)) = (&self.told, c, d)
-                    {
-                        if told.told_subsumes(a, b) {
-                            return Ok(true);
-                        }
-                    }
-                }
-                let (cbar, neg_cbar, dbar, neg_dbar) = {
-                    let mut tr = lock_mutex(&self.transformer);
-                    (
-                        tr.concept(c),
-                        tr.neg_concept(c),
-                        tr.concept(d),
-                        tr.neg_concept(d),
-                    )
-                };
-                match kind {
-                    // C ↦ D iff ¬(¬C̄) ⊓ ¬D̄ unsatisfiable in K̄.
-                    InclusionKind::Material => {
-                        let test = neg_cbar.not().and(dbar.not());
-                        Ok(!self.engine_concept_sat(&test)?)
-                    }
-                    // C ⊏ D iff C̄ ⊓ ¬D̄ unsatisfiable.
-                    InclusionKind::Internal => {
-                        let test = cbar.and(dbar.not());
-                        Ok(!self.engine_concept_sat(&test)?)
-                    }
-                    // C → D iff additionally ¬D̄ ⊓ ¬(¬C̄) unsatisfiable —
-                    // i.e. ¬D̄ ⊑ ¬C̄ also holds.
-                    InclusionKind::Strong => {
-                        let fwd = cbar.and(dbar.not());
-                        let bwd = neg_dbar.and(neg_cbar.not());
-                        Ok(!self.engine_concept_sat(&fwd)? && !self.engine_concept_sat(&bwd)?)
-                    }
-                }
-            }
-            other => {
-                let images = lock_mutex(&self.transformer).axiom(other);
-                // Every transformed image must be classically entailed.
-                for classical_ax in images {
-                    if !self.engine_entails(&classical_ax)? {
-                        return Ok(false);
-                    }
-                }
-                Ok(true)
-            }
-        }
+        self.pipeline.entails(ax)
     }
 }
 
@@ -658,7 +268,9 @@ const _: () = {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::inclusion::InclusionKind;
     use crate::parse_kb4;
+    use dl::axiom::RoleExpr;
 
     fn r4(src: &str) -> Reasoner4 {
         Reasoner4::new(&parse_kb4(src).unwrap())
@@ -1024,7 +636,14 @@ mod tests {
             },
             QueryOptions::baseline(),
         );
-        let plain = Reasoner4::with_options(&kb, Config::default(), QueryOptions::baseline());
+        let plain = Reasoner4::with_options(
+            &kb,
+            Config {
+                horn_path: false,
+                ..Config::default()
+            },
+            QueryOptions::baseline(),
+        );
         assert_eq!(
             scoped.is_satisfiable().unwrap(),
             plain.is_satisfiable().unwrap()
@@ -1051,7 +670,7 @@ mod tests {
         // Modules are genuinely smaller than the KB on average here
         // (two unrelated islands).
         assert!(s.module_axioms < s.scoped_queries * kb.len() as u64);
-        // The unscoped pipeline records no module counters.
+        // With neither scoping nor the Horn rung nothing is extracted.
         assert_eq!(plain.stats().scoped_queries, 0);
         assert_eq!(plain.stats().module_axioms, 0);
     }

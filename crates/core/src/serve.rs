@@ -2,9 +2,9 @@
 //! [`Session`]s, cross-tenant cache sharing, admission control, and a
 //! std-only line-protocol TCP front end.
 //!
-//! This is ROADMAP item 2 ("millions of users"): one process hosting
-//! many independent four-valued KBs, answering concurrent requests with
-//! bounded resources. Three mechanisms carry the load:
+//! One process hosts many independent four-valued KBs and answers
+//! concurrent requests with bounded resources. Four mechanisms carry
+//! the load:
 //!
 //! * **Sharded registry** — [`Registry`] maps tenant ids to
 //!   `RwLock<Session>`s across independently locked shards (the same
@@ -40,18 +40,19 @@
 //!   cheap one. Lanes change scheduling only — verdicts are
 //!   bit-identical with lanes on or off (`tests/serve_lanes.rs`).
 //!
-//! The wire protocol is deliberately boring: one request per line
-//! (parser4 syntax for axioms), one JSON reply per line (via
-//! [`jsonio`]), over `std::net::TcpListener` — the workspace vendors
-//! its dependencies, so there is no async runtime. See the README's
-//! "Serving" quickstart for the grammar.
+//! The wire protocol is deliberately boring: one request per line in
+//! the [`crate::command`] grammar (at most [`MAX_LINE_BYTES`] bytes),
+//! parsed once on the connection thread, and one JSON reply per line
+//! (via [`jsonio`]), over `std::net::TcpListener` — the workspace
+//! vendors its dependencies, so there is no async runtime. See the
+//! README's "Serving" quickstart.
 
 use crate::cache::{lock_mutex, read_lock, write_lock, ShardedMap};
+use crate::command::Command;
 use crate::hardness;
 use crate::horn::HornProgram;
 use crate::incremental::Session;
 use crate::kb4::{Axiom4, KnowledgeBase4};
-use crate::parser4::parse_kb4;
 use dl::axiom::{Axiom, RoleExpr};
 use dl::name::{DataRoleName, IndividualName, RoleName};
 use dl::Concept;
@@ -59,7 +60,7 @@ use fourval::TruthValue;
 use jsonio::Value;
 use std::collections::{BTreeSet, HashMap, VecDeque};
 use std::hash::{BuildHasher, RandomState};
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc;
@@ -74,6 +75,12 @@ const REGISTRY_SHARDS: usize = 16;
 
 /// How long a connection reader sleeps between shutdown-flag polls.
 const POLL_INTERVAL: Duration = Duration::from_millis(25);
+
+/// Longest request line a connection may send, in bytes, its newline
+/// included. A longer one is answered with a `parse` error and the
+/// connection is closed, so a client that never sends a newline cannot
+/// grow server memory.
+pub const MAX_LINE_BYTES: usize = 64 * 1024;
 
 // ---------------------------------------------------------------------
 // Structural keys + the cross-tenant shared cache
@@ -138,22 +145,24 @@ impl SharedCacheStats {
 /// Plus a fourth, `scores` — static [`crate::hardness`] scores per
 /// module key, consumed by cost-aware lane admission. Content
 /// addressing gives score invalidation for free: a mutated module has a
-/// different key (PR 6's delta machinery already drops the tenant-side
-/// entry), so a stale score is simply never looked up again.
+/// different key (the session's delta machinery already drops the
+/// tenant-side entry), so a stale score is simply never looked up again.
 ///
 /// Engines published here are built with a *neutral* config
-/// ([`SharedModuleCache::build_config`]): the registry's config with
+/// (`build_config`): the registry's config with
 /// any per-tenant cancellation token stripped, so raising one tenant's
 /// token can never cancel another tenant's query running on a shared
 /// engine. Per-request cancellation uses the thread-local
 /// [`tableau::interrupt`] tokens instead, which work regardless of
 /// which engine the search runs on.
 pub struct SharedModuleCache {
-    build_config: Config,
-    engines: ShardedMap<Arc<str>, Arc<QueryEngine>>,
-    horn: ShardedMap<Arc<str>, Option<Arc<HornProgram>>>,
-    rows: ShardedMap<(Arc<str>, String), bool>,
-    scores: ShardedMap<Arc<str>, f64>,
+    /// The neutral config shared engines must be built with.
+    pub(crate) build_config: Config,
+    pub(crate) engines: ShardedMap<Arc<str>, Arc<QueryEngine>>,
+    /// `None` memoizes "this module is not Horn".
+    pub(crate) horn: ShardedMap<Arc<str>, Option<Arc<HornProgram>>>,
+    pub(crate) rows: ShardedMap<(Arc<str>, String), bool>,
+    pub(crate) scores: ShardedMap<Arc<str>, f64>,
 }
 
 impl SharedModuleCache {
@@ -171,52 +180,6 @@ impl SharedModuleCache {
             rows: ShardedMap::new(),
             scores: ShardedMap::new(),
         }
-    }
-
-    /// The neutral config shared engines must be built with.
-    pub fn build_config(&self) -> &Config {
-        &self.build_config
-    }
-
-    /// Look up the engine for a module key.
-    pub fn engine(&self, key: &Arc<str>) -> Option<Arc<QueryEngine>> {
-        self.engines.get(key)
-    }
-
-    /// Publish a (neutral-config) engine for a module key.
-    pub fn publish_engine(&self, key: Arc<str>, engine: Arc<QueryEngine>) {
-        self.engines.insert(key, engine);
-    }
-
-    /// Look up the Horn verdict for a module key. `Some(None)` means
-    /// the module is memoized as *not* Horn.
-    pub fn horn(&self, key: &Arc<str>) -> Option<Option<Arc<HornProgram>>> {
-        self.horn.get(key)
-    }
-
-    /// Publish a module's Horn program (or its non-Horn verdict).
-    pub fn publish_horn(&self, key: Arc<str>, program: Option<Arc<HornProgram>>) {
-        self.horn.insert(key, program);
-    }
-
-    /// Look up a query verdict row.
-    pub fn row(&self, key: &(Arc<str>, String)) -> Option<bool> {
-        self.rows.get(key)
-    }
-
-    /// Publish a query verdict row.
-    pub fn publish_row(&self, key: (Arc<str>, String), verdict: bool) {
-        self.rows.insert(key, verdict);
-    }
-
-    /// Look up a module's static hardness score.
-    pub fn score(&self, key: &Arc<str>) -> Option<f64> {
-        self.scores.get(key)
-    }
-
-    /// Publish a module's static hardness score.
-    pub fn publish_score(&self, key: Arc<str>, score: f64) {
-        self.scores.insert(key, score);
     }
 
     /// Counter snapshot across all four maps.
@@ -379,6 +342,12 @@ impl std::fmt::Display for ServeError {
 
 impl std::error::Error for ServeError {}
 
+impl From<ReasonerError> for ServeError {
+    fn from(e: ReasonerError) -> Self {
+        ServeError::Reasoning(e)
+    }
+}
+
 impl ServeError {
     /// The machine-readable `error` token of the JSON reply.
     pub fn code(&self) -> &'static str {
@@ -404,46 +373,13 @@ impl ServeError {
     }
 }
 
-/// One admitted unit of work: a protocol line, the tenant it targets,
-/// and the connection's declared data roles (parser state).
+/// One protocol line for [`execute`]: the tenant it targets and the
+/// data roles declared before it on its connection.
 #[derive(Debug, Clone)]
 pub struct Request {
     pub tenant: String,
     pub line: String,
     pub data_roles: BTreeSet<DataRoleName>,
-}
-
-fn parse_axiom_line(stmt: &str, declared: &BTreeSet<DataRoleName>) -> Result<Axiom4, ServeError> {
-    let mut src = String::new();
-    if !declared.is_empty() {
-        src.push_str("DataRole:");
-        for r in declared {
-            src.push(' ');
-            src.push_str(r.as_ref());
-        }
-        src.push('\n');
-    }
-    src.push_str(stmt);
-    let kb = parse_kb4(&src).map_err(|e| ServeError::Parse(e.to_string()))?;
-    let mut axioms = kb.axioms().to_vec();
-    if axioms.len() != 1 {
-        return Err(ServeError::Parse(format!(
-            "expected exactly one axiom, got {}",
-            axioms.len()
-        )));
-    }
-    Ok(axioms.pop().expect("length checked"))
-}
-
-fn parse_concept_arg(src: &str) -> Result<Concept, ServeError> {
-    // Reuse the KB parser on a throwaway assertion so concept syntax is
-    // exactly parser4's (the CLI takes the same route).
-    let probe = format!("__serve_probe : {src}");
-    let kb = parse_kb4(&probe).map_err(|e| ServeError::Parse(e.to_string()))?;
-    match kb.axioms() {
-        [Axiom4::ConceptAssertion(_, c)] => Ok(c.clone()),
-        _ => Err(ServeError::Parse(format!("not a concept: {src:?}"))),
-    }
 }
 
 /// Short wire token for a four-valued verdict.
@@ -456,100 +392,53 @@ pub fn truth_token(v: TruthValue) -> &'static str {
     }
 }
 
-fn reasoning(e: ReasonerError) -> ServeError {
-    ServeError::Reasoning(e)
+/// Execute one request line against the registry: parse it under the
+/// request's data roles, then run it as a worker would. Connection-level
+/// commands (`tenant`, `DataRole:`, `cancel`, `quit`) are rejected.
+pub fn execute(registry: &Registry, req: &Request) -> Result<Value, ServeError> {
+    let command = Command::parse(&req.line, &req.data_roles).map_err(ServeError::Parse)?;
+    run(registry, &req.tenant, &command)
 }
 
-/// Execute one admitted request against the registry. This is the
-/// worker-side half of the protocol — connection-level verbs (`tenant`,
-/// `DataRole:`, `cancel`, `quit`) never reach it.
-pub fn execute(registry: &Registry, req: &Request) -> Result<Value, ServeError> {
-    let (verb, rest) = match req.line.split_once(char::is_whitespace) {
-        Some((v, r)) => (v, r.trim()),
-        None => (req.line.as_str(), ""),
-    };
+/// The worker-side half of the protocol: run an admitted command
+/// against the tenant's session.
+fn run(registry: &Registry, tenant: &str, command: &Command) -> Result<Value, ServeError> {
     let known = |r: Option<Result<Value, ServeError>>| {
-        r.unwrap_or_else(|| Err(ServeError::UnknownTenant(req.tenant.clone())))
+        r.unwrap_or_else(|| Err(ServeError::UnknownTenant(tenant.to_string())))
     };
-    match verb {
-        "add" => {
-            let ax = parse_axiom_line(rest, &req.data_roles)?;
-            known(registry.write(&req.tenant, |s| {
-                s.add_axiom(ax.clone())
-                    .map_err(|e| ServeError::Parse(e.to_string()))?;
-                Ok(Value::object([
-                    ("ok", true.into()),
-                    ("axioms", s.len().into()),
-                ]))
-            }))
-        }
-        "retract" => {
-            let ax = parse_axiom_line(rest, &req.data_roles)?;
-            known(registry.write(&req.tenant, |s| {
-                let removed = s
-                    .retract_axiom(&ax)
-                    .map_err(|e| ServeError::Parse(e.to_string()))?;
-                Ok(Value::object([
-                    ("ok", true.into()),
-                    ("removed", removed.into()),
-                    ("axioms", s.len().into()),
-                ]))
-            }))
-        }
-        "query" => {
-            let (ind, concept) = rest
-                .split_once(char::is_whitespace)
-                .ok_or_else(|| ServeError::Parse("usage: query <individual> <concept>".into()))?;
-            let c = parse_concept_arg(concept.trim())?;
-            let a = IndividualName::new(ind);
-            known(registry.read(&req.tenant, |s| {
-                let v = s.query(&a, &c).map_err(reasoning)?;
-                Ok(Value::object([
-                    ("ok", true.into()),
-                    ("verdict", truth_token(v).into()),
-                ]))
-            }))
-        }
-        "role" => {
-            let mut parts = rest.split_whitespace();
-            let (Some(r), Some(a), Some(b), None) =
-                (parts.next(), parts.next(), parts.next(), parts.next())
-            else {
-                return Err(ServeError::Parse("usage: role <role> <a> <b>".into()));
-            };
-            let (r, a, b) = (
-                RoleName::new(r),
-                IndividualName::new(a),
-                IndividualName::new(b),
-            );
-            known(registry.read(&req.tenant, |s| {
-                let v = s.query_role(&r, &a, &b).map_err(reasoning)?;
-                Ok(Value::object([
-                    ("ok", true.into()),
-                    ("verdict", truth_token(v).into()),
-                ]))
-            }))
-        }
-        "entails" => {
-            let ax = parse_axiom_line(rest, &req.data_roles)?;
-            known(registry.read(&req.tenant, |s| {
-                let holds = s.entails(&ax).map_err(reasoning)?;
-                Ok(Value::object([
-                    ("ok", true.into()),
-                    ("entailed", holds.into()),
-                ]))
-            }))
-        }
-        "check" => known(registry.read(&req.tenant, |s| {
-            let sat = s.is_satisfiable().map_err(reasoning)?;
+    let storage = |e: crate::incremental::SessionError| ServeError::Parse(e.to_string());
+    match command {
+        Command::Add(ax) => known(registry.write(tenant, |s| {
+            s.add_axiom(ax.clone()).map_err(storage)?;
             Ok(Value::object([
                 ("ok", true.into()),
-                ("satisfiable", sat.into()),
+                ("axioms", s.len().into()),
             ]))
         })),
-        "stats" => {
+        Command::Retract(ax) => known(registry.write(tenant, |s| {
+            let removed = s.retract_axiom(ax).map_err(storage)?;
+            Ok(Value::object([
+                ("ok", true.into()),
+                ("removed", removed.into()),
+                ("axioms", s.len().into()),
+            ]))
+        })),
+        Command::Query(..) | Command::Role(..) | Command::Entails(_) | Command::Check => {
+            known(registry.read(tenant, |s| {
+                let (key, value): (&str, Value) = match command {
+                    Command::Query(a, c) => ("verdict", truth_token(s.query(a, c)?).into()),
+                    Command::Role(r, a, b) => {
+                        ("verdict", truth_token(s.query_role(r, a, b)?).into())
+                    }
+                    Command::Entails(ax) => ("entailed", s.entails(ax)?.into()),
+                    _ => ("satisfiable", s.is_satisfiable()?.into()),
+                };
+                Ok(Value::object([("ok", true.into()), (key, value)]))
+            }))
+        }
+        Command::Stats => {
             let shared = registry.shared().stats();
-            known(registry.read(&req.tenant, |s| {
+            known(registry.read(tenant, |s| {
                 let t = s.stats();
                 let tenant_lookups = t.entailment_cache_hits
                     + t.entailment_cache_misses
@@ -574,64 +463,22 @@ pub fn execute(registry: &Registry, req: &Request) -> Result<Value, ServeError> 
                 ]))
             }))
         }
-        _ => Err(ServeError::Parse(format!("unknown verb {verb:?}"))),
+        Command::DeclareDataRoles(_) | Command::Tenant(_) | Command::Cancel(_) | Command::Quit => {
+            Err(ServeError::Parse(
+                "connection verb sent as a request".into(),
+            ))
+        }
     }
 }
 
-/// Predict the hardness score of a request's target module without
-/// running any search: parse just enough of the line to find the probe
-/// seed, then ask the tenant session for its module's (cached) static
-/// score. Mutations, `stats`, unknown verbs, unknown tenants and
-/// unparseable lines all score `0.0` — they either run no search or
-/// fail fast in the worker with the real error reply, so the cheap lane
-/// is the right place for them either way.
-pub fn predict_score(registry: &Registry, req: &Request) -> f64 {
-    let (verb, rest) = match req.line.split_once(char::is_whitespace) {
-        Some((v, r)) => (v, r.trim()),
-        None => (req.line.as_str(), ""),
-    };
-    match verb {
-        "query" => {
-            let Some((ind, concept)) = rest.split_once(char::is_whitespace) else {
-                return 0.0;
-            };
-            let Ok(c) = parse_concept_arg(concept.trim()) else {
-                return 0.0;
-            };
-            let a = IndividualName::new(ind);
-            registry
-                .read(&req.tenant, |s| s.predicted_hardness(&a, &c))
-                .unwrap_or(0.0)
-        }
-        "role" => {
-            let mut parts = rest.split_whitespace();
-            let (Some(r), Some(a), Some(b), None) =
-                (parts.next(), parts.next(), parts.next(), parts.next())
-            else {
-                return 0.0;
-            };
-            let (r, a, b) = (
-                RoleName::new(r),
-                IndividualName::new(a),
-                IndividualName::new(b),
-            );
-            registry
-                .read(&req.tenant, |s| s.predicted_hardness_role(&r, &a, &b))
-                .unwrap_or(0.0)
-        }
-        "entails" => {
-            let Ok(ax) = parse_axiom_line(rest, &req.data_roles) else {
-                return 0.0;
-            };
-            registry
-                .read(&req.tenant, |s| s.predicted_hardness_axiom(&ax))
-                .unwrap_or(0.0)
-        }
-        "check" => registry
-            .read(&req.tenant, |s| s.predicted_hardness_check())
-            .unwrap_or(0.0),
-        _ => 0.0,
-    }
+/// Predict the hardness score of a request's target modules without
+/// running any search ([`Session::predicted_hardness`]). Unknown tenants
+/// score `0.0`, like mutations and `stats`: they run no search, so the
+/// cheap lane is the right place for them.
+fn predict_score(registry: &Registry, tenant: &str, command: &Command) -> f64 {
+    registry
+        .read(tenant, |s| s.predicted_hardness(command))
+        .unwrap_or(0.0)
 }
 
 // ---------------------------------------------------------------------
@@ -640,7 +487,8 @@ pub fn predict_score(registry: &Registry, req: &Request) -> f64 {
 
 struct Job {
     id: u64,
-    request: Request,
+    tenant: String,
+    command: Command,
     token: Arc<AtomicBool>,
     reply: mpsc::Sender<Value>,
     enqueued: Instant,
@@ -1094,7 +942,7 @@ fn worker_loop(queue: &Queue, registry: &Registry, stats: &ServeStats, inflight:
                 }
             }
             let _guard = tableau::interrupt::install(Arc::clone(&job.token));
-            execute(registry, &job.request)
+            run(registry, &job.tenant, &job.command)
         };
         // A janitor revocation surfaces as `Cancelled`; report it as
         // the budget error the client would see from a per-session
@@ -1142,12 +990,19 @@ fn handle_conn(stream: TcpStream, ctx: &ConnCtx) -> std::io::Result<()> {
     let mut reader = BufReader::new(stream);
     let mut tenant: Option<String> = None;
     let mut data_roles: BTreeSet<DataRoleName> = BTreeSet::new();
-    let mut line = String::new();
+    let mut line = Vec::new();
     loop {
-        match reader.read_line(&mut line) {
-            Ok(0) => return Ok(()),                     // client closed
-            Ok(_) if !line.ends_with('\n') => continue, // torn read, keep accumulating
-            Ok(_) => {}
+        // Never buffer past the cap: a line that fills it without a
+        // newline is over-long.
+        let room = (MAX_LINE_BYTES - line.len()) as u64;
+        match (&mut reader).take(room).read_until(b'\n', &mut line) {
+            Ok(0) => return Ok(()), // client closed
+            Ok(_) if line.ends_with(b"\n") => {}
+            Ok(_) if line.len() < MAX_LINE_BYTES => continue, // torn read, keep accumulating
+            Ok(_) => {
+                let e = ServeError::Parse(format!("request line over {MAX_LINE_BYTES} bytes"));
+                return write_reply(&mut writer, &e.to_json());
+            }
             Err(e)
                 if e.kind() == std::io::ErrorKind::WouldBlock
                     || e.kind() == std::io::ErrorKind::TimedOut =>
@@ -1160,53 +1015,41 @@ fn handle_conn(stream: TcpStream, ctx: &ConnCtx) -> std::io::Result<()> {
             Err(e) => return Err(e),
         }
         let raw = std::mem::take(&mut line);
-        let trimmed = raw.trim();
+        let Ok(text) = std::str::from_utf8(&raw) else {
+            write_reply(
+                &mut writer,
+                &ServeError::Parse("request is not UTF-8".into()).to_json(),
+            )?;
+            continue;
+        };
+        let trimmed = text.trim();
         if trimmed.is_empty() || trimmed.starts_with('#') {
             continue;
         }
-        // Connection-level verbs execute inline; everything else is
+        // Connection-level commands execute inline; everything else is
         // admitted through the bounded queue.
-        if let Some(names) = trimmed.strip_prefix("DataRole:") {
-            data_roles.extend(names.split_whitespace().map(DataRoleName::new));
-            write_reply(&mut writer, &Value::object([("ok", true.into())]))?;
-            continue;
-        }
-        let (verb, rest) = match trimmed.split_once(char::is_whitespace) {
-            Some((v, r)) => (v, r.trim()),
-            None => (trimmed, ""),
-        };
-        match verb {
-            "quit" => {
+        let command = match Command::parse(trimmed, &data_roles) {
+            Ok(Command::DeclareDataRoles(names)) => {
+                data_roles.extend(names);
                 write_reply(&mut writer, &Value::object([("ok", true.into())]))?;
-                return Ok(());
-            }
-            "tenant" => {
-                if rest.is_empty() {
-                    write_reply(
-                        &mut writer,
-                        &ServeError::Parse("usage: tenant <id>".into()).to_json(),
-                    )?;
-                    continue;
-                }
-                let created = ctx.registry.register(rest, &KnowledgeBase4::default());
-                tenant = Some(rest.to_string());
-                write_reply(
-                    &mut writer,
-                    &Value::object([
-                        ("ok", true.into()),
-                        ("tenant", rest.into()),
-                        ("created", created.into()),
-                    ]),
-                )?;
                 continue;
             }
-            "cancel" => {
-                let target = if rest.is_empty() {
-                    tenant.as_deref()
-                } else {
-                    Some(rest)
-                };
-                let reply = match target {
+            Ok(Command::Quit) => {
+                return write_reply(&mut writer, &Value::object([("ok", true.into())]));
+            }
+            Ok(Command::Tenant(id)) => {
+                let created = ctx.registry.register(&id, &KnowledgeBase4::default());
+                let reply = Value::object([
+                    ("ok", true.into()),
+                    ("tenant", id.as_str().into()),
+                    ("created", created.into()),
+                ]);
+                tenant = Some(id);
+                write_reply(&mut writer, &reply)?;
+                continue;
+            }
+            Ok(Command::Cancel(target)) => {
+                let reply = match target.as_deref().or(tenant.as_deref()) {
                     Some(t) => {
                         let revoked = cancel_tenant_inflight(&ctx.inflight, t);
                         Value::object([("ok", true.into()), ("revoked", revoked.into())])
@@ -1216,22 +1059,21 @@ fn handle_conn(stream: TcpStream, ctx: &ConnCtx) -> std::io::Result<()> {
                 write_reply(&mut writer, &reply)?;
                 continue;
             }
-            _ => {}
-        }
+            Ok(command) => command,
+            Err(e) => {
+                write_reply(&mut writer, &ServeError::Parse(e).to_json())?;
+                continue;
+            }
+        };
         let Some(tenant_id) = tenant.clone() else {
             write_reply(&mut writer, &ServeError::NoTenant.to_json())?;
             continue;
-        };
-        let request = Request {
-            tenant: tenant_id.clone(),
-            line: trimmed.to_string(),
-            data_roles: data_roles.clone(),
         };
         // Cost-aware lane selection: static analysis only, no search.
         let heavy = ctx
             .lanes
             .as_ref()
-            .is_some_and(|l| predict_score(&ctx.registry, &request) >= l.threshold);
+            .is_some_and(|l| predict_score(&ctx.registry, &tenant_id, &command) >= l.threshold);
         let (queue, budget) = if heavy {
             (
                 ctx.heavy_queue.as_deref().unwrap_or(&ctx.queue),
@@ -1246,14 +1088,15 @@ fn handle_conn(stream: TcpStream, ctx: &ConnCtx) -> std::io::Result<()> {
         lock_mutex(&ctx.inflight).insert(
             id,
             InflightEntry {
-                tenant: tenant_id,
+                tenant: tenant_id.clone(),
                 token: Arc::clone(&token),
                 deadline: None,
             },
         );
         let job = Job {
             id,
-            request,
+            tenant: tenant_id,
+            command,
             token,
             reply: tx,
             enqueued: Instant::now(),
@@ -1340,6 +1183,7 @@ pub fn hostile_kb(depth: usize) -> KnowledgeBase4 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::parse_kb4;
     use std::io::BufRead;
 
     fn assert_send_sync<T: Send + Sync>() {}
@@ -1450,11 +1294,8 @@ mod tests {
         let (tx, _rx) = mpsc::channel();
         let mk = |id| Job {
             id,
-            request: Request {
-                tenant: "t".into(),
-                line: "check".into(),
-                data_roles: BTreeSet::new(),
-            },
+            tenant: "t".into(),
+            command: Command::Check,
             token: Arc::new(AtomicBool::new(false)),
             reply: tx.clone(),
             enqueued: Instant::now(),
@@ -1489,11 +1330,8 @@ mod tests {
             let (tx, _rx) = mpsc::channel();
             let mk = |id: u64, tx: &Sender<_>| Job {
                 id,
-                request: Request {
-                    tenant: "t".into(),
-                    line: "check".into(),
-                    data_roles: BTreeSet::new(),
-                },
+                tenant: "t".into(),
+                command: Command::Check,
                 token: Arc::new(AtomicBool::new(false)),
                 reply: tx.clone(),
                 enqueued: Instant::now(),
@@ -1638,17 +1476,58 @@ mod tests {
     }
 
     #[test]
+    fn over_long_line_is_refused_and_the_server_keeps_serving() {
+        let registry = Arc::new(Registry::new(Config::default()));
+        let server = Server::bind(
+            "127.0.0.1:0",
+            Arc::clone(&registry),
+            ServeOptions::default(),
+        )
+        .expect("bind");
+        let addr = server.local_addr();
+        let stream = TcpStream::connect(addr).expect("connect");
+        let mut writer = stream.try_clone().expect("clone");
+        let mut reader = BufReader::new(stream);
+        // A full cap's worth of bytes and no newline.
+        writer.write_all(&vec![b'a'; MAX_LINE_BYTES]).expect("send");
+        let mut reply = String::new();
+        reader.read_line(&mut reply).expect("reply");
+        let reply = Value::parse(&reply).expect("json reply");
+        assert_eq!(reply.get("error").and_then(Value::as_str), Some("parse"));
+        let mut rest = String::new();
+        assert_eq!(reader.read_line(&mut rest).expect("eof"), 0, "not closed");
+        // Another client is still served, after a line that is not UTF-8.
+        let stream = TcpStream::connect(addr).expect("connect");
+        let mut writer = stream.try_clone().expect("clone");
+        let mut reader = BufReader::new(stream);
+        writer.write_all(b"\xff\n").expect("send");
+        writeln!(writer, "tenant t\nadd x : A\nquery x A").expect("send");
+        let replies: Vec<Value> = (0..4)
+            .map(|_| {
+                let mut reply = String::new();
+                reader.read_line(&mut reply).expect("reply");
+                Value::parse(&reply).expect("json reply")
+            })
+            .collect();
+        assert_eq!(
+            replies[0].get("error").and_then(Value::as_str),
+            Some("parse")
+        );
+        assert_eq!(replies[3].get("verdict").and_then(Value::as_str), Some("t"));
+        server.shutdown();
+    }
+
+    #[test]
     fn predict_score_separates_cheap_and_heavy_modules() {
         let registry = Registry::new(Config::default());
         registry.register("easy", &parse_kb4("A SubClassOf B\nx : A").expect("parse"));
         registry.register("hard", &hostile_kb(6));
-        let req = |tenant: &str, line: &str| Request {
-            tenant: tenant.into(),
-            line: line.into(),
-            data_roles: BTreeSet::new(),
+        let score = |tenant: &str, line: &str| {
+            let command = Command::parse(line, &BTreeSet::new()).expect("parses");
+            predict_score(&registry, tenant, &command)
         };
-        let easy = predict_score(&registry, &req("easy", "query x B"));
-        let hard = predict_score(&registry, &req("hard", "check"));
+        let easy = score("easy", "query x B");
+        let hard = score("hard", "check");
         assert!(
             easy < hardness::DEFAULT_HEAVY_THRESHOLD,
             "Horn chain classified heavy: {easy}"
@@ -1657,13 +1536,12 @@ mod tests {
             hard >= hardness::DEFAULT_HEAVY_THRESHOLD,
             "hostile ∃-tree classified cheap: {hard}"
         );
-        // Mutations, stats, unknown tenants and garbage stay cheap.
-        assert_eq!(predict_score(&registry, &req("hard", "add y : HL0")), 0.0);
-        assert_eq!(predict_score(&registry, &req("hard", "stats")), 0.0);
-        assert_eq!(predict_score(&registry, &req("nope", "check")), 0.0);
-        assert_eq!(predict_score(&registry, &req("hard", "query")), 0.0);
+        // Mutations, stats and unknown tenants stay cheap.
+        assert_eq!(score("hard", "add y : HL0"), 0.0);
+        assert_eq!(score("hard", "stats"), 0.0);
+        assert_eq!(score("nope", "check"), 0.0);
         // Repeat predictions are answered by the shared score cache.
-        let again = predict_score(&registry, &req("hard", "check"));
+        let again = score("hard", "check");
         assert_eq!(again, hard);
         assert!(registry.shared().stats().scores >= 1);
     }

@@ -114,8 +114,8 @@ fn tokenize(line: &str, lineno: usize) -> Result<Vec<Tok>> {
     let mut toks = Vec::new();
     let bytes = line.as_bytes();
     let mut i = 0;
-    while i < bytes.len() {
-        let c = bytes[i] as char;
+    // `i` stays on a char boundary: every arm consumes whole chars.
+    while let Some(c) = line[i..].chars().next() {
         match c {
             ' ' | '\t' | '\r' => i += 1,
             '#' => break,
@@ -189,9 +189,10 @@ fn tokenize(line: &str, lineno: usize) -> Result<Vec<Tok>> {
                             }
                             i += 2;
                         }
-                        Some(&b) => {
-                            s.push(b as char);
-                            i += 1;
+                        Some(_) => {
+                            let ch = line[i..].chars().next().expect("i < len");
+                            s.push(ch);
+                            i += ch.len_utf8();
                         }
                     }
                 }
@@ -220,10 +221,9 @@ fn tokenize(line: &str, lineno: usize) -> Result<Vec<Tok>> {
                 // parseable; equality statements therefore need spaces
                 // around `=` (the printer always emits them).
                 let start = i;
-                while i < bytes.len() {
-                    let b = bytes[i] as char;
+                while let Some(b) = line[i..].chars().next() {
                     if b.is_alphanumeric() || matches!(b, '_' | '+' | '-' | '=' | '\'') {
-                        i += 1;
+                        i += b.len_utf8();
                     } else {
                         break;
                     }

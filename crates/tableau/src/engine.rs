@@ -271,15 +271,6 @@ impl QueryEngine {
         self.stats.lock().expect("stats lock").absorb(s);
     }
 
-    /// Merge externally collected counters (e.g. the module-scoping
-    /// layer's `scoped_queries` / `module_axioms` /
-    /// `module_extraction_ns`, or a scoped sub-engine's whole `Stats`)
-    /// into this engine's totals, so one `stats()` call reports the
-    /// entire pipeline.
-    pub fn merge_stats(&self, s: &Stats) {
-        self.absorb_stats(s);
-    }
-
     fn ensure_node(g: &mut CompletionGraph, o: &IndividualName) -> NodeId {
         match g.nominal_node(o) {
             Some(n) => n,

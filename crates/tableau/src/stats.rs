@@ -29,8 +29,9 @@ pub struct Stats {
     /// Clashes by kind, indexed by [`Clash::kind_index`] and labelled by
     /// [`crate::clash::KIND_LABELS`].
     pub clashes_by_kind: [u64; KIND_COUNT],
-    /// Queries answered through an extracted module instead of the full
-    /// KB (module scoping; counted by the four-valued layer).
+    /// Module extractions by the four-valued layer: every probe that ran
+    /// on a module engine or tried the Horn rung, and every hardness
+    /// prediction.
     pub scoped_queries: u64,
     /// Total axioms across all extracted modules (so
     /// `module_axioms / scoped_queries` is the mean module size).
@@ -56,11 +57,10 @@ pub struct Stats {
     /// Instance/entailment queries that missed the entailment cache and
     /// had to be computed.
     pub entailment_cache_misses: u64,
-    /// Module-scoped queries that reused an already-built per-module
-    /// `QueryEngine`.
+    /// Extractions whose module was already cached (its engine, Horn
+    /// program and hardness score are reused as built).
     pub engine_cache_hits: u64,
-    /// Module-scoped queries that had to build a fresh per-module
-    /// `QueryEngine`.
+    /// Extractions that added a new module to the cache.
     pub engine_cache_misses: u64,
     /// Horn-routed queries that reused an already-compiled (or
     /// already-rejected) module program.

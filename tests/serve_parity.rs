@@ -29,7 +29,7 @@ use shoin4::{Axiom4, InclusionKind, KnowledgeBase4, Reasoner4};
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Barrier};
 use std::time::Duration;
 use tableau::Config;
 
@@ -328,6 +328,17 @@ fn serve_protocol_smoke() {
         "DataRole declaration must thread into admitted parses"
     );
     assert_eq!(
+        c.ask("add age(pat, 41)").get("ok").and_then(Value::as_bool),
+        Some(true)
+    );
+    assert_eq!(
+        c.ask("query pat age min 1")
+            .get("verdict")
+            .and_then(Value::as_str),
+        Some("t"),
+        "query concepts must read declared data roles as `entails` does"
+    );
+    assert_eq!(
         c.ask("query tweety Bird")
             .get("verdict")
             .and_then(Value::as_str),
@@ -352,7 +363,7 @@ fn serve_protocol_smoke() {
         Some(true)
     );
     let stats = c.ask("stats");
-    assert_eq!(stats.get("axioms").and_then(Value::as_i64), Some(2));
+    assert_eq!(stats.get("axioms").and_then(Value::as_i64), Some(3));
     assert_eq!(
         c.ask("frobnicate hard")
             .get("error")
@@ -398,12 +409,17 @@ fn saturated_server_sheds_and_recovers() {
     let addr = server.local_addr();
 
     let stop = AtomicBool::new(false);
+    // Each hostile client passes this barrier after its first reply, and
+    // the poller below starts only then: without it the poller could
+    // read `overloaded` and stop the burst before a hostile client had
+    // sent anything.
+    let started = Barrier::new(3);
     std::thread::scope(|scope| {
         // Two looping hostile clients keep the single worker and the
         // single queue slot continuously occupied until told to stop,
         // so the poller below reliably finds the queue full.
         let hostile = |tag: &'static str| {
-            let stop = &stop;
+            let (stop, started) = (&stop, &started);
             scope.spawn(move || {
                 let mut c = Client::connect(addr);
                 c.ask("tenant evil");
@@ -416,12 +432,16 @@ fn saturated_server_sheds_and_recovers() {
                         "{tag} got an unexpected reply: {reply}"
                     );
                     completed += 1;
+                    if completed == 1 {
+                        started.wait();
+                    }
                 }
                 (tag, completed)
             })
         };
         let h1 = hostile("h1");
         let h2 = hostile("h2");
+        started.wait();
 
         // A third client's probe must observe the typed shed reply. It
         // can still win an admission race in the instant between one
