@@ -49,15 +49,37 @@
 //! interpretation of the in-`Σ` symbols. Nominals are never `top` nor
 //! `bot` (their extension is a fixed finite set), `≠`-declarations are
 //! never local (the fixed-element mapping could merge their sides), and
-//! datatype restrictions are treated conservatively. Each admission
-//! records the `Σ`-atoms that forced it ([`Admission::via`]) — the
-//! per-edge soundness witness: drop any of those atoms from `Σ` and the
-//! locality failure it certifies disappears.
+//! datatype restrictions are treated conservatively. On request
+//! ([`ModuleExtractor::extract_explained`]) each admission records the
+//! `Σ`-atoms that forced it ([`Admission::via`]) — the per-edge
+//! soundness witness: drop any of those atoms from `Σ` and the locality
+//! failure it certifies disappears.
 //!
 //! Because every `∉ Σ` test in the locality predicates is
 //! anti-monotone in `Σ`, the extracted module is **monotone in the
 //! seed**: `Σ₀ ⊆ Σ₀' ⟹ M(Σ₀) ⊆ M(Σ₀')` (property-tested in
 //! `tests/module_parity.rs`).
+//!
+//! # Extraction cost
+//!
+//! An extraction costs what its module costs, not what the KB costs.
+//! The locality test of slot `i` reads `Σ` only through `Σ ∩ atoms(i)`:
+//! every `∉ Σ` lookup in the predicates asks about an atom of the
+//! axiom's own images. So a slot that shares no atom with `Σ` is local
+//! w.r.t. `Σ` iff it is local w.r.t. `∅`. The extractor keeps the
+//! *never-local* slots — those not local w.r.t. `∅`, hence (by
+//! anti-monotonicity) members of every module — as a set maintained by
+//! [`ModuleExtractor::push_axiom`] and [`ModuleExtractor::remove_axiom`],
+//! and starts the worklist from that set plus the users of the seed's
+//! atoms; afterwards only the users of atoms that newly enter `Σ` are
+//! re-tested. A slot never tested is local w.r.t. `∅` and has shared
+//! no atom with `Σ` at any point of the run, so it is local w.r.t. the
+//! final `Σ`: the fixpoint reached is the least one, the same as a scan
+//! that tests every slot (property-tested against such a scan in this
+//! module's tests).
+//! [`Module::locality_tests`] counts the tests one extraction ran; it is
+//! bounded by the never-local core plus the users of the atoms of the
+//! final `Σ`.
 
 use crate::inclusion::InclusionKind;
 use crate::kb4::{Axiom4, KnowledgeBase4};
@@ -235,7 +257,7 @@ pub enum AxiomKind {
 /// The signature-dependency graph: per-axiom atom sets plus the reverse
 /// index. Two axioms are *adjacent* when they share an atom — the
 /// syntactic condition for one to influence the other's consequences.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct DepGraph {
     /// `atoms[i]` — the atoms of axiom `i` (over its classical images).
     pub atoms: Vec<BTreeSet<SigAtom>>,
@@ -245,34 +267,24 @@ pub struct DepGraph {
     pub kinds: Vec<AxiomKind>,
 }
 
+fn axiom_kind(ax: &Axiom4) -> AxiomKind {
+    match ax {
+        Axiom4::ConceptInclusion(k, ..)
+        | Axiom4::RoleInclusion(k, ..)
+        | Axiom4::DataRoleInclusion(k, ..) => AxiomKind::Inclusion(*k),
+        _ => AxiomKind::Fact,
+    }
+}
+
 impl DepGraph {
     /// Build the graph for a four-valued KB.
     pub fn build(kb: &KnowledgeBase4) -> Self {
         let mut tr = Transformer::memoized();
-        let mut atoms = Vec::with_capacity(kb.len());
-        let mut by_atom: BTreeMap<SigAtom, Vec<usize>> = BTreeMap::new();
-        let mut kinds = Vec::with_capacity(kb.len());
-        for (i, ax) in kb.axioms().iter().enumerate() {
-            let mut set = BTreeSet::new();
-            for image in tr.axiom(ax) {
-                classical_axiom_atoms(&image, &mut set);
-            }
-            for atom in &set {
-                by_atom.entry(atom.clone()).or_default().push(i);
-            }
-            atoms.push(set);
-            kinds.push(match ax {
-                Axiom4::ConceptInclusion(k, ..)
-                | Axiom4::RoleInclusion(k, ..)
-                | Axiom4::DataRoleInclusion(k, ..) => AxiomKind::Inclusion(*k),
-                _ => AxiomKind::Fact,
-            });
+        let mut graph = DepGraph::default();
+        for ax in kb.axioms() {
+            graph.push_slot(&tr.axiom(ax), axiom_kind(ax));
         }
-        DepGraph {
-            atoms,
-            by_atom,
-            kinds,
-        }
+        graph
     }
 
     /// Number of axioms.
@@ -280,9 +292,18 @@ impl DepGraph {
         self.atoms.len()
     }
 
-    /// Append a slot with the given atoms and kind; returns its index.
-    fn push_slot(&mut self, set: BTreeSet<SigAtom>, kind: AxiomKind) -> usize {
+    /// The slots whose images mention `atom`.
+    pub fn users(&self, atom: &SigAtom) -> &[usize] {
+        self.by_atom.get(atom).map_or(&[], Vec::as_slice)
+    }
+
+    /// Append a slot for an axiom's classical images; returns its index.
+    fn push_slot(&mut self, images: &[Axiom], kind: AxiomKind) -> usize {
         let i = self.atoms.len();
+        let mut set = BTreeSet::new();
+        for image in images {
+            classical_axiom_atoms(image, &mut set);
+        }
         for atom in &set {
             self.by_atom.entry(atom.clone()).or_default().push(i);
         }
@@ -349,7 +370,8 @@ impl DepGraph {
 /// `Σ`-atoms its locality failure depended on — the recorded soundness
 /// witness for the dependency edge (empty `via` means the axiom is
 /// non-local against *any* signature, e.g. `≠`-declarations and
-/// nominal assertions).
+/// nominal assertions). Built only by
+/// [`ModuleExtractor::extract_explained`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Admission {
     /// The admitted axiom (index into `kb.axioms()`).
@@ -370,27 +392,38 @@ pub struct Module {
     pub signature: BTreeSet<SigAtom>,
     /// Fixpoint rounds until closure.
     pub rounds: usize,
-    /// Per-member admission records, in admission order.
-    pub admissions: Vec<Admission>,
+    /// Locality tests the fixpoint ran (see "Extraction cost" in the
+    /// module docs): bounded by the never-local core plus the users of
+    /// the atoms of `signature`, whatever the size of the KB.
+    pub locality_tests: usize,
 }
 
-/// Reusable module-extraction state for one KB: the dependency graph
-/// plus the classical images (computed once, shared by every query).
+/// Reusable module-extraction state for one KB: the dependency graph,
+/// the classical images and the never-local core (computed once, shared
+/// by every query, maintained by [`Self::push_axiom`] and
+/// [`Self::remove_axiom`]).
 #[derive(Debug)]
 pub struct ModuleExtractor {
     graph: DepGraph,
     images: Vec<Vec<Axiom>>,
+    /// Live slots whose images are not `⊤`-local w.r.t. `∅`: members of
+    /// every module, where each extraction's worklist starts.
+    never_local: BTreeSet<usize>,
 }
 
 impl ModuleExtractor {
     /// Preprocess a KB for module extraction.
     pub fn new(kb: &KnowledgeBase4) -> Self {
         let mut tr = Transformer::memoized();
-        let images: Vec<Vec<Axiom>> = kb.axioms().iter().map(|ax| tr.axiom(ax)).collect();
-        ModuleExtractor {
-            graph: DepGraph::build(kb),
-            images,
+        let mut ex = ModuleExtractor {
+            graph: DepGraph::default(),
+            images: Vec::with_capacity(kb.len()),
+            never_local: BTreeSet::new(),
+        };
+        for ax in kb.axioms() {
+            ex.push_images(tr.axiom(ax), axiom_kind(ax));
         }
+        ex
     }
 
     /// The underlying dependency graph.
@@ -418,52 +451,69 @@ impl ModuleExtractor {
     /// fixpoint described in the module docs). Deterministic: the result
     /// is the least fixpoint, independent of worklist order.
     pub fn extract(&self, seed: &BTreeSet<SigAtom>) -> Module {
-        let n = self.graph.len();
-        let mut sigma = seed.clone();
-        let mut in_module = vec![false; n];
+        self.fixpoint(seed, None)
+    }
+
+    /// [`Self::extract`] plus the [`Admission`] record of every member,
+    /// in admission order.
+    pub fn extract_explained(&self, seed: &BTreeSet<SigAtom>) -> (Module, Vec<Admission>) {
         let mut admissions = Vec::new();
+        let module = self.fixpoint(seed, Some(&mut admissions));
+        (module, admissions)
+    }
+
+    fn fixpoint(
+        &self,
+        seed: &BTreeSet<SigAtom>,
+        mut admissions: Option<&mut Vec<Admission>>,
+    ) -> Module {
+        let mut sigma = seed.clone();
+        let mut axioms = BTreeSet::new();
         let mut rounds = 0usize;
-        // Round 0 checks everything; later rounds only re-check axioms
-        // that gained a Σ-atom (locality depends only on Σ ∩ atoms(i)).
-        let mut pending: BTreeSet<usize> = (0..n).collect();
+        let mut locality_tests = 0usize;
+        // Round 0 tests the never-local core and the slots sharing an
+        // atom with the seed; later rounds only the slots that gained a
+        // Σ-atom. Every other slot is local (see "Extraction cost").
+        let mut pending = self.never_local.clone();
+        for atom in seed {
+            pending.extend(self.graph.users(atom));
+        }
         while !pending.is_empty() {
-            let mut fresh_atoms: BTreeSet<SigAtom> = BTreeSet::new();
-            for i in std::mem::take(&mut pending) {
-                if in_module[i] {
+            let mut next = BTreeSet::new();
+            for i in pending {
+                if axioms.contains(&i) {
                     continue;
                 }
-                let local = self.images[i].iter().all(|ax| axiom_local(ax, &sigma));
-                if local {
+                locality_tests += 1;
+                if self.images[i].iter().all(|ax| axiom_local(ax, &sigma)) {
                     continue;
                 }
-                in_module[i] = true;
-                admissions.push(Admission {
-                    axiom: i,
-                    round: rounds,
-                    via: self.graph.atoms[i]
-                        .iter()
-                        .filter(|a| sigma.contains(a))
-                        .cloned()
-                        .collect(),
-                });
+                if let Some(admissions) = admissions.as_deref_mut() {
+                    admissions.push(Admission {
+                        axiom: i,
+                        round: rounds,
+                        via: self.graph.atoms[i]
+                            .iter()
+                            .filter(|a| sigma.contains(a))
+                            .cloned()
+                            .collect(),
+                    });
+                }
+                axioms.insert(i);
                 for atom in &self.graph.atoms[i] {
                     if sigma.insert(atom.clone()) {
-                        fresh_atoms.insert(atom.clone());
+                        next.extend(self.graph.users(atom));
                     }
                 }
             }
-            for atom in &fresh_atoms {
-                if let Some(users) = self.graph.by_atom.get(atom) {
-                    pending.extend(users.iter().copied().filter(|&j| !in_module[j]));
-                }
-            }
+            pending = next;
             rounds += 1;
         }
         Module {
-            axioms: admissions.iter().map(|a| a.axiom).collect(),
+            axioms,
             signature: sigma,
             rounds,
-            admissions,
+            locality_tests,
         }
     }
 
@@ -480,30 +530,27 @@ impl ModuleExtractor {
     /// The new slot participates in every later [`Self::extract`] call
     /// exactly as if the extractor had been built from the extended KB.
     pub fn push_axiom(&mut self, ax: &Axiom4) -> usize {
-        let mut tr = Transformer::memoized();
-        let images = tr.axiom(ax);
-        let mut set = BTreeSet::new();
-        for image in &images {
-            classical_axiom_atoms(image, &mut set);
-        }
-        let kind = match ax {
-            Axiom4::ConceptInclusion(k, ..)
-            | Axiom4::RoleInclusion(k, ..)
-            | Axiom4::DataRoleInclusion(k, ..) => AxiomKind::Inclusion(*k),
-            _ => AxiomKind::Fact,
-        };
-        let i = self.graph.push_slot(set, kind);
+        self.push_images(Transformer::memoized().axiom(ax), axiom_kind(ax))
+    }
+
+    fn push_images(&mut self, images: Vec<Axiom>, kind: AxiomKind) -> usize {
+        let i = self.graph.push_slot(&images, kind);
         debug_assert_eq!(i, self.images.len());
+        if !images.iter().all(|ax| axiom_local(ax, &BTreeSet::new())) {
+            self.never_local.insert(i);
+        }
         self.images.push(images);
         i
     }
 
-    /// Tombstone slot `i`: its images and atoms become empty, so it is
-    /// vacuously `⊤`-local w.r.t. every signature and can never again
-    /// be admitted into a module. Indices of the surviving slots do not
-    /// shift, which keeps cached module keys (slot-id sets) valid.
+    /// Tombstone slot `i`: its images and atoms become empty (their heap
+    /// blocks freed), so it is vacuously `⊤`-local w.r.t. every
+    /// signature and can never again be admitted into a module. Indices
+    /// of the surviving slots do not shift, which keeps cached module
+    /// keys (slot-id sets) valid.
     pub fn remove_axiom(&mut self, i: usize) {
-        self.images[i].clear();
+        self.images[i] = Vec::new();
+        self.never_local.remove(&i);
         self.graph.clear_slot(i);
     }
 
@@ -614,6 +661,7 @@ pub fn axiom_local(ax: &Axiom, sigma: &BTreeSet<SigAtom>) -> bool {
 mod tests {
     use super::*;
     use crate::parse_kb4;
+    use proptest::prelude::*;
 
     fn kb(src: &str) -> KnowledgeBase4 {
         parse_kb4(src).unwrap()
@@ -726,10 +774,11 @@ mod tests {
         let ex = ModuleExtractor::new(&kb);
         // Information flows *toward* the seed: a query about C needs
         // the whole chain (each link can push facts one step up).
-        let m = ex.extract(&seed_of(&["C"]));
+        let (m, admissions) = ex.extract_explained(&seed_of(&["C"]));
         assert_eq!(m.axioms, BTreeSet::from([0, 1, 2]));
+        assert_eq!(ex.extract(&seed_of(&["C"])).axioms, m.axioms);
         let by_axiom: BTreeMap<usize, &Admission> =
-            m.admissions.iter().map(|a| (a.axiom, a)).collect();
+            admissions.iter().map(|a| (a.axiom, a)).collect();
         // B ⊑ C is forced by the seed; A ⊑ B only once B⁺ flowed in.
         assert_eq!(by_axiom[&1].round, 0);
         assert!(by_axiom[&0].round > 0);
@@ -851,5 +900,163 @@ mod tests {
         let ex = ModuleExtractor::new(&kb);
         let m = ex.extract(&BTreeSet::new());
         assert_eq!(m.axioms, BTreeSet::from([2, 3]));
+    }
+
+    /// The definitional least fixpoint: scan every slot until no slot
+    /// is admitted — the full-scan reference for the worklist start.
+    fn full_scan(
+        ex: &ModuleExtractor,
+        seed: &BTreeSet<SigAtom>,
+    ) -> (BTreeSet<usize>, BTreeSet<SigAtom>) {
+        let mut sigma = seed.clone();
+        let mut axioms = BTreeSet::new();
+        loop {
+            let admitted: Vec<usize> = (0..ex.graph.len())
+                .filter(|i| !axioms.contains(i))
+                .filter(|&i| !ex.images[i].iter().all(|ax| axiom_local(ax, &sigma)))
+                .collect();
+            if admitted.is_empty() {
+                return (axioms, sigma);
+            }
+            for i in admitted {
+                axioms.insert(i);
+                sigma.extend(ex.graph.atoms[i].iter().cloned());
+            }
+        }
+    }
+
+    /// A generated concept over `A0..A3`, `r0`, `r1` and `i0..i3`.
+    fn concept_text(k: usize, x: usize, y: usize) -> String {
+        match k {
+            0..=3 => format!("A{k}"),
+            4 => format!("(not A{x})"),
+            5 => format!("(A{x} and A{y})"),
+            6 => format!("(A{x} or A{y})"),
+            7 => format!("(r{} some A{y})", x % 2),
+            8 => format!("(r{} only A{y})", x % 2),
+            9 => format!("(r{} max 1)", y % 2),
+            _ => format!("{{i{y}}}"),
+        }
+    }
+
+    /// One generated KB line, weighted toward the never-local shapes
+    /// (`≠`, nominal assertions, negative role assertions, `⊥` heads).
+    fn line((shape, x, y, kind, c, d): (usize, usize, usize, usize, usize, usize)) -> String {
+        let (cx, cy) = (concept_text(c, x, y), concept_text(d, x, y));
+        let inclusion = ["SubClassOf", "MaterialSubClassOf", "StrongSubClassOf"][kind];
+        match shape {
+            0..=2 => format!("{cx} {inclusion} {cy}"),
+            3 => format!("{cx} {inclusion} Nothing"),
+            4 | 5 => format!("i{x} : {cy}"),
+            6 => format!("i{x} : {{i{y}}}"),
+            7 => format!("r{}(i{x}, i{y})", kind % 2),
+            8 => format!("not r{}(i{x}, i{y})", kind % 2),
+            9 => format!("i{x} != i{y}"),
+            10 => format!("i{x} = i{y}"),
+            11 => format!("r{} SubRoleOf r{}", x % 2, y % 2),
+            _ => format!("Transitive(r{})", x % 2),
+        }
+    }
+
+    fn line_strategy() -> impl Strategy<Value = String> {
+        (
+            0usize..13,
+            0usize..4,
+            0usize..4,
+            0usize..3,
+            0usize..11,
+            0usize..11,
+        )
+            .prop_map(line)
+    }
+
+    /// A seed: a concept's two polarities, with or without an
+    /// individual.
+    fn seed_strategy() -> impl Strategy<Value = BTreeSet<SigAtom>> {
+        (0usize..11, 0usize..4, 0usize..4, any::<bool>()).prop_map(|(k, x, y, individual)| {
+            let text = concept_text(k, x, y);
+            let concept = crate::command::parse_concept(&text, &BTreeSet::new())
+                .expect("generated concepts parse");
+            let mut seed = concept_seed(&concept);
+            if individual {
+                seed.insert(SigAtom::Individual(IndividualName::new(format!("i{x}"))));
+            }
+            seed
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        /// The worklist start (never-local core + users of the seed's
+        /// atoms) reaches the full scan's fixpoint, also after
+        /// interleaved `push_axiom`/`remove_axiom` calls.
+        #[test]
+        fn worklist_start_matches_the_full_scan(
+            base in proptest::collection::vec(line_strategy(), 0..10),
+            ops in proptest::collection::vec((0usize..3, line_strategy(), 0usize..64), 0..12),
+            seeds in proptest::collection::vec(seed_strategy(), 1..5),
+        ) {
+            let mut ex = ModuleExtractor::new(&kb(&base.join("\n")));
+            let check = |ex: &ModuleExtractor| -> Result<(), TestCaseError> {
+                for seed in seeds.iter().chain([&BTreeSet::new()]) {
+                    let m = ex.extract(seed);
+                    let (axioms, signature) = full_scan(ex, seed);
+                    prop_assert_eq!(&m.axioms, &axioms, "seed {:?}", seed);
+                    prop_assert_eq!(&m.signature, &signature, "seed {:?}", seed);
+                    let (explained, admissions) = ex.extract_explained(seed);
+                    prop_assert_eq!(&explained.axioms, &axioms);
+                    prop_assert_eq!(admissions.len(), axioms.len());
+                }
+                Ok(())
+            };
+            check(&ex)?;
+            for (op, text, pick) in ops {
+                let live: Vec<usize> = (0..ex.graph.len()).filter(|&i| ex.is_live(i)).collect();
+                if op == 0 && !live.is_empty() {
+                    ex.remove_axiom(live[pick % live.len()]);
+                } else {
+                    for ax in kb(&text).axioms() {
+                        ex.push_axiom(ax);
+                    }
+                }
+                check(&ex)?;
+            }
+        }
+    }
+
+    #[test]
+    fn locality_tests_stay_on_the_seed_island() {
+        // Many disjoint islands, each a chain A_k ⊑ B_k ⊑ C_k with a
+        // fact, a nominal and a ≠ pair: an extraction seeded on one
+        // island may test that island and the never-local core, never
+        // the other islands' ordinary axioms.
+        let islands = 200;
+        let mut text = String::new();
+        for k in 0..islands {
+            text.push_str(&format!(
+                "A{k} SubClassOf B{k}\nB{k} SubClassOf C{k}\nx{k} : A{k}\nD{k} SubClassOf E{k}\ny{k} : D{k}\n"
+            ));
+        }
+        text.push_str("p : {q}\np != q\n");
+        let kb = kb(&text);
+        let ex = ModuleExtractor::new(&kb);
+        let per_island = 5;
+        let core = 2;
+        for k in [0, islands / 2, islands - 1] {
+            let m = ex.extract(&seed_of(&[&format!("C{k}")]));
+            let start = per_island * k;
+            let island: BTreeSet<usize> = (start..start + 3).collect();
+            let core_slots = BTreeSet::from([per_island * islands, per_island * islands + 1]);
+            assert_eq!(m.axioms, &island | &core_slots);
+            assert!(
+                m.locality_tests <= 3 + core,
+                "{} locality tests for a {}-axiom module in a {}-axiom KB",
+                m.locality_tests,
+                m.axioms.len(),
+                kb.len()
+            );
+            assert_eq!(m.axioms, full_scan(&ex, &seed_of(&[&format!("C{k}")])).0);
+        }
     }
 }

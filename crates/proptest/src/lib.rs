@@ -8,7 +8,8 @@
 //! Generation is purely random (SplitMix64, seeded per test from the
 //! test name) with **no shrinking**: a failing case panics with the
 //! case number and message. Determinism per test name keeps failures
-//! reproducible across runs.
+//! reproducible across runs. `PROPTEST_CASES=<n>` in the environment
+//! overrides every property's case count (e.g. a deep CI run).
 
 use std::fmt;
 use std::marker::PhantomData;
@@ -488,7 +489,8 @@ pub use collection::{btree_set, vec};
 // Runner configuration and failure reporting.
 // ---------------------------------------------------------------------
 
-/// Runner configuration (`cases` is the only knob the tests use).
+/// Runner configuration (`cases` is the only knob the tests use; the
+/// `PROPTEST_CASES` environment variable overrides it).
 #[derive(Debug, Clone)]
 pub struct ProptestConfig {
     /// Number of random cases to run per property.
@@ -527,15 +529,29 @@ impl fmt::Display for TestCaseError {
 
 impl std::error::Error for TestCaseError {}
 
+/// The case count `PROPTEST_CASES` asks for, if set: a positive integer
+/// that replaces every property's own `cases`, so CI can run deep and
+/// local runs shallow. A set but malformed value panics rather than
+/// silently running the default.
+fn cases_override(var: Option<&str>) -> Option<u32> {
+    let v = var?;
+    match v.trim().parse::<u32>() {
+        Ok(n) if n > 0 => Some(n),
+        _ => panic!("PROPTEST_CASES must be a positive integer, got {v:?}"),
+    }
+}
+
 #[doc(hidden)]
 pub fn run_property<F>(name: &str, cfg: &ProptestConfig, mut case: F)
 where
     F: FnMut(&mut TestRng, u32) -> Result<(), TestCaseError>,
 {
     let mut rng = TestRng::deterministic(name);
-    for i in 0..cfg.cases {
+    let cases =
+        cases_override(std::env::var("PROPTEST_CASES").ok().as_deref()).unwrap_or(cfg.cases);
+    for i in 0..cases {
         if let Err(e) = case(&mut rng, i) {
-            panic!("property `{name}` failed at case {i}/{}: {e}", cfg.cases);
+            panic!("property `{name}` failed at case {i}/{cases}: {e}");
         }
     }
 }
@@ -730,6 +746,17 @@ mod tests {
                 .parse()
                 .map_err(|e| TestCaseError::fail(format!("{e}")))?;
             prop_assert_eq!(parsed, sum);
+        }
+    }
+
+    #[test]
+    fn case_override_reads_positive_integers_only() {
+        assert_eq!(crate::cases_override(None), None);
+        assert_eq!(crate::cases_override(Some("4096")), Some(4096));
+        assert_eq!(crate::cases_override(Some(" 7\n")), Some(7));
+        for bad in ["0", "-1", "many", ""] {
+            let caught = std::panic::catch_unwind(|| crate::cases_override(Some(bad)));
+            assert!(caught.is_err(), "{bad:?} should be refused");
         }
     }
 

@@ -24,9 +24,11 @@
 //!
 //! A classical FaCT++/Pellet-style observation: one concrete model
 //! refutes many entailments at once. If the cached base model interprets
-//! individual `a` outside atomic concept `A`, then `KB ⊭ a : A` — no
-//! search needed; only candidate entailments the model fails to refute
-//! fall through to the full tableau. Soundness is one-directional (a
+//! individual `a` outside atomic concept `A`, then `KB ⊭ a : A`; if
+//! some node of it carries `A` but not `B`, then `A ⊓ ¬B` is satisfiable
+//! and `KB ⊭ A ⊑ B` (any conjunction of atomic literals is witnessed the
+//! same way) — no search needed; only candidate entailments the model
+//! fails to refute fall through to the full tableau. Soundness is one-directional (a
 //! refutation is definitive, absence of a refutation proves nothing), so
 //! answers never change — the property tests in `tests/batch_parity.rs`
 //! check exactly this agreement.
@@ -109,20 +111,47 @@ impl BaseModel {
         }
     }
 
-    /// Does this model refute `KB ⊨ A ⊑ B`? (Some element is in `A` but
-    /// not `B`.) Conservative: only answered on exact (unblocked) models.
-    pub fn refutes_subsumption(&self, sub: &ConceptName, sup: &ConceptName) -> bool {
+    /// Does this model witness satisfiability of `c` w.r.t. the KB,
+    /// for `c` a conjunction of atomic literals (`A`, `¬A`, `⊤`, nested
+    /// `⊓`)? It does when some node carries every positive literal and
+    /// none of the negated ones: the canonical interpretation of an
+    /// exact graph puts a node in `A` iff `A` labels it. This covers the
+    /// subsumption probe `A ⊓ ¬B` (a refutation of `A ⊑ B`) and the
+    /// split images' `¬A⁻ ⊓ ¬B⁺`. Conservative: only answered on exact
+    /// models, and `false` for any other shape.
+    pub fn witnesses_literal_conjunction(&self, c: &Concept) -> bool {
+        let (mut pos, mut neg) = (Vec::new(), Vec::new());
         self.exact
+            && literals(c, &mut pos, &mut neg)
             && self
                 .labels
                 .values()
-                .any(|l| l.contains(sub) && !l.contains(sup))
+                .any(|l| pos.iter().all(|a| l.contains(*a)) && !neg.iter().any(|a| l.contains(*a)))
     }
+}
 
-    /// Does this model witness satisfiability of atomic `A` w.r.t. the
-    /// KB? Conservative: only answered on exact models.
-    pub fn witnesses_satisfiability(&self, atomic: &ConceptName) -> bool {
-        self.exact && self.labels.values().any(|l| l.contains(atomic))
+/// Split a conjunction of atomic literals into its positive and negated
+/// names; `false` if `c` has any other shape.
+fn literals<'a>(
+    c: &'a Concept,
+    pos: &mut Vec<&'a ConceptName>,
+    neg: &mut Vec<&'a ConceptName>,
+) -> bool {
+    match c {
+        Concept::Top => true,
+        Concept::Atomic(a) => {
+            pos.push(a);
+            true
+        }
+        Concept::Not(inner) => match &**inner {
+            Concept::Atomic(a) => {
+                neg.push(a);
+                true
+            }
+            _ => false,
+        },
+        Concept::And(l, r) => literals(l, pos, neg) && literals(r, pos, neg),
+        _ => false,
     }
 }
 
@@ -362,12 +391,8 @@ impl QueryEngine {
             // An inconsistent KB has no models at all.
             return Ok(false);
         };
-        if self.ctx.config.model_pruning {
-            if let Concept::Atomic(a) = c {
-                if model.witnesses_satisfiability(a) {
-                    return Ok(true);
-                }
-            }
+        if self.ctx.config.model_pruning && model.witnesses_literal_conjunction(c) {
+            return Ok(true);
         }
         let mut g = self.base_graph.clone();
         let n = g.new_root();
@@ -377,16 +402,6 @@ impl QueryEngine {
 
     /// Does the KB entail `sub ⊑ sup`? (`sub ⊓ ¬sup` unsatisfiable.)
     pub fn is_subsumed_by(&self, sub: &Concept, sup: &Concept) -> Result<bool, ReasonerError> {
-        let Some(model) = self.base_model()? else {
-            return Ok(true); // inconsistent KB entails everything
-        };
-        if self.ctx.config.model_pruning {
-            if let (Concept::Atomic(a), Concept::Atomic(b)) = (sub, sup) {
-                if model.refutes_subsumption(a, b) {
-                    return Ok(false);
-                }
-            }
-        }
         let test = sub.clone().and(sup.clone().not());
         Ok(!self.is_concept_satisfiable(&test)?)
     }
@@ -671,6 +686,129 @@ mod tests {
                         .unwrap(),
                     "disagreement on {a} ⊑ {b}"
                 );
+            }
+        }
+    }
+
+    /// Every conjunction of one or two atomic literals over `names`.
+    fn literal_conjunctions(names: &[&str]) -> Vec<Concept> {
+        let literals: Vec<Concept> = names
+            .iter()
+            .flat_map(|n| [Concept::atomic(*n), Concept::atomic(*n).not()])
+            .collect();
+        let mut out = literals.clone();
+        for l in &literals {
+            for r in &literals {
+                out.push(l.clone().and(r.clone()));
+            }
+        }
+        out
+    }
+
+    fn plain(kb: &KnowledgeBase, config: &Config) -> QueryEngine {
+        QueryEngine::with_config(
+            kb,
+            Config {
+                model_pruning: false,
+                ..config.clone()
+            },
+        )
+    }
+
+    #[test]
+    fn literal_conjunction_witness_answers_without_search() {
+        let e = engine(
+            "Surgeon SubClassOf Doctor
+             s : Surgeon
+             n : Nurse",
+        );
+        assert!(e.is_consistent().unwrap());
+        let warm = e.stats();
+        let (nurse, doctor) = (Concept::atomic("Nurse"), Concept::atomic("Doctor"));
+        // `n` witnesses `Nurse ⊓ ¬Doctor` and `¬Doctor ⊓ ¬Surgeon`.
+        assert!(e
+            .is_concept_satisfiable(&nurse.clone().and(doctor.clone().not()))
+            .unwrap());
+        assert!(e
+            .is_concept_satisfiable(&doctor.clone().not().and(Concept::atomic("Surgeon").not()))
+            .unwrap());
+        assert!(!e.is_subsumed_by(&nurse, &doctor).unwrap());
+        assert_eq!(e.stats(), warm);
+        // No node is a Surgeon outside Doctor: that one is searched.
+        assert!(e
+            .is_subsumed_by(&Concept::atomic("Surgeon"), &doctor)
+            .unwrap());
+        assert!(e.stats().rule_applications > warm.rule_applications);
+    }
+
+    #[test]
+    fn literal_conjunction_witness_needs_an_exact_model() {
+        // `p`'s ancestor chain is cut by blocking, so the base model is
+        // not exact; its anonymous `Person ⊓ ¬Doctor` nodes may not
+        // denote real elements and must not witness anything.
+        let src = "Person SubClassOf hasParent some Person
+                   p : Person
+                   d : Doctor";
+        let kb = parse_kb(src).unwrap();
+        let pruned = QueryEngine::new(&kb);
+        let model = pruned.base_model().unwrap().expect("consistent");
+        assert!(!model.exact, "the base model should have a blocked node");
+        let plain = plain(&kb, &Config::default());
+        for c in literal_conjunctions(&["Person", "Doctor"]) {
+            let before = pruned.stats();
+            let verdict = pruned.is_concept_satisfiable(&c).unwrap();
+            assert_eq!(verdict, plain.is_concept_satisfiable(&c).unwrap(), "{c:?}");
+            assert!(
+                pruned.stats().rule_applications > before.rule_applications,
+                "the witness fired on a blocked model for {c:?}"
+            );
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(48))]
+
+        /// Model pruning never changes a satisfiability or subsumption
+        /// verdict for literal conjunctions, on random KBs whose base
+        /// models are exact or blocked.
+        #[test]
+        fn literal_conjunction_witness_agrees_with_plain_search(seed in 0..u64::MAX) {
+            let kb = ontogen::random::random_kb(&ontogen::random::RandomParams {
+                n_concepts: 3,
+                n_roles: 2,
+                n_individuals: 3,
+                n_tbox: 4,
+                n_abox: 5,
+                max_depth: 1,
+                number_restrictions: true,
+                inverse_roles: true,
+                seed,
+            });
+            // A limit error skips the KB (base model) or the comparison.
+            let config = Config {
+                max_rule_applications: 20_000,
+                time_budget: Some(std::time::Duration::from_millis(50)),
+                ..Config::default()
+            };
+            let pruned = QueryEngine::with_config(&kb, config.clone());
+            if pruned.base_model().is_err() {
+                return Ok(());
+            }
+            let plain = plain(&kb, &config);
+            for c in literal_conjunctions(&["C0", "C1", "C2"]) {
+                if let (Ok(p), Ok(q)) =
+                    (pruned.is_concept_satisfiable(&c), plain.is_concept_satisfiable(&c))
+                {
+                    proptest::prop_assert_eq!(p, q, "seed {}: {:?}", seed, c);
+                }
+            }
+            for a in ["C0", "C1", "C2"] {
+                for b in ["C0", "C1", "C2"] {
+                    let (a, b) = (Concept::atomic(a), Concept::atomic(b));
+                    if let (Ok(p), Ok(q)) = (pruned.is_subsumed_by(&a, &b), plain.is_subsumed_by(&a, &b)) {
+                        proptest::prop_assert_eq!(p, q, "seed {}: {:?} ⊑ {:?}", seed, a, b);
+                    }
+                }
             }
         }
     }

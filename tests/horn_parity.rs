@@ -26,8 +26,7 @@
 
 use dl::name::IndividualName;
 use dl::Concept;
-use fourmodels::check::{entailed_negative_info, entailed_positive_info};
-use fourmodels::enumerate::EnumConfig;
+use fourmodels::enumerate::{EnumConfig, ModelIter};
 use ontogen::horn::{horn_kb4, HornParams};
 use ontogen::random::{random_kb4, RandomParams};
 use proptest::prelude::*;
@@ -376,23 +375,41 @@ fn routed_claims_are_confirmed_by_the_enumeration_oracle() {
         );
         for kb in [&horn_kb, &random_kb] {
             let routed = engine(kb, true);
-            let cfg = EnumConfig::for_kb(kb);
+            // (individual, concept, positive half?) per routed claim.
+            let mut kb_claims = Vec::new();
             for (a, c) in signature_grid(kb) {
                 if routed.has_positive_info(&a, &c).unwrap() {
-                    assert!(
-                        entailed_positive_info(kb, &cfg, &a, &c),
-                        "routed claim {a}:{c} rejected by the oracle (seed {seed})"
-                    );
-                    claims += 1;
+                    kb_claims.push((a.clone(), c.clone(), true));
                 }
                 if routed.has_negative_info(&a, &c).unwrap() {
-                    assert!(
-                        entailed_negative_info(kb, &cfg, &a, &c),
-                        "routed claim {a}:¬{c} rejected by the oracle (seed {seed})"
-                    );
-                    claims += 1;
+                    kb_claims.push((a, c, false));
                 }
             }
+            // One enumeration per KB: a claim is confirmed iff it holds
+            // in every model (the `entailed_{positive,negative}_info`
+            // test, run for all claims in the same pass).
+            if kb_claims.is_empty() {
+                continue;
+            }
+            let cfg = EnumConfig::for_kb(kb);
+            let mut confirmed = vec![true; kb_claims.len()];
+            for m in ModelIter::new(kb, &cfg).filter(|m| m.satisfies(kb)) {
+                for (ok, (a, c, positive)) in confirmed.iter_mut().zip(&kb_claims) {
+                    if *ok {
+                        let value = m.eval(c);
+                        let half = if *positive { &value.pos } else { &value.neg };
+                        *ok = m.individual(a).is_some_and(|e| half.contains(&e));
+                    }
+                }
+            }
+            for (ok, (a, c, positive)) in confirmed.iter().zip(&kb_claims) {
+                let sign = if *positive { "" } else { "¬" };
+                assert!(
+                    ok,
+                    "routed claim {a}:{sign}{c} rejected by the oracle (seed {seed})"
+                );
+            }
+            claims += kb_claims.len();
         }
     }
     assert!(claims >= 8, "generators degenerated: only {claims} claims");
