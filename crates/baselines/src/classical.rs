@@ -5,13 +5,12 @@
 use crate::{Answer, InconsistencyBaseline};
 use dl::kb::KnowledgeBase;
 use dl::Axiom;
-use tableau::{Config, Reasoner, ReasonerError};
+use tableau::{Config, QueryEngine, ReasonerError};
 
 /// Classical SHOIN(D) entailment; reports [`Answer::Trivial`] for every
 /// query once the KB is inconsistent.
 pub struct ClassicalBaseline {
-    reasoner: Reasoner,
-    consistent: Option<bool>,
+    reasoner: QueryEngine,
 }
 
 impl ClassicalBaseline {
@@ -23,19 +22,14 @@ impl ClassicalBaseline {
     /// Wrap a KB with an explicit tableau configuration.
     pub fn with_config(kb: &KnowledgeBase, config: Config) -> Self {
         ClassicalBaseline {
-            reasoner: Reasoner::with_config(kb, config),
-            consistent: None,
+            reasoner: QueryEngine::with_config(kb, config),
         }
     }
 
-    /// Is the underlying KB consistent?
-    pub fn is_consistent(&mut self) -> Result<bool, ReasonerError> {
-        if let Some(c) = self.consistent {
-            return Ok(c);
-        }
-        let c = self.reasoner.is_consistent()?;
-        self.consistent = Some(c);
-        Ok(c)
+    /// Is the underlying KB consistent? (Computed once; the engine
+    /// caches it.)
+    pub fn is_consistent(&self) -> Result<bool, ReasonerError> {
+        self.reasoner.is_consistent()
     }
 }
 

@@ -12,7 +12,7 @@
 use crate::{Answer, InconsistencyBaseline};
 use dl::kb::{KnowledgeBase, Signature};
 use dl::Axiom;
-use tableau::{Config, Reasoner, ReasonerError};
+use tableau::{Config, QueryEngine, ReasonerError};
 
 /// Skeptical vs credulous MCS entailment.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -54,7 +54,7 @@ impl McsBaseline {
 
     fn is_consistent_subset(&self, indices: &[usize]) -> Result<bool, ReasonerError> {
         let kb = KnowledgeBase::from_axioms(indices.iter().map(|&i| self.axioms[i].clone()));
-        Reasoner::with_config(&kb, self.config.clone()).is_consistent()
+        QueryEngine::with_config(&kb, self.config.clone()).is_consistent()
     }
 
     /// All maximal consistent subsets, as sorted index vectors.
@@ -109,7 +109,7 @@ impl InconsistencyBaseline for McsBaseline {
         let mut all = true;
         for subset in &subsets {
             let kb = KnowledgeBase::from_axioms(subset.iter().map(|&i| axioms[i].clone()));
-            let hit = Reasoner::with_config(&kb, config.clone()).entails(query)?;
+            let hit = QueryEngine::with_config(&kb, config.clone()).entails(query)?;
             any |= hit;
             all &= hit;
         }
@@ -195,7 +195,7 @@ impl InconsistencyBaseline for RelevanceBaseline {
         let mut chosen: Option<Vec<usize>> = None;
         for hood in &hoods {
             let kb = KnowledgeBase::from_axioms(hood.iter().map(|&i| self.axioms[i].clone()));
-            if Reasoner::with_config(&kb, self.config.clone()).is_consistent()? {
+            if QueryEngine::with_config(&kb, self.config.clone()).is_consistent()? {
                 chosen = Some(hood.clone());
             } else {
                 break;
@@ -208,7 +208,7 @@ impl InconsistencyBaseline for RelevanceBaseline {
         };
         let kb = KnowledgeBase::from_axioms(indices.iter().map(|&i| self.axioms[i].clone()));
         Ok(
-            if Reasoner::with_config(&kb, self.config.clone()).entails(query)? {
+            if QueryEngine::with_config(&kb, self.config.clone()).entails(query)? {
                 Answer::Yes
             } else {
                 Answer::No

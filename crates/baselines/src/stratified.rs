@@ -10,7 +10,7 @@
 use crate::{Answer, InconsistencyBaseline};
 use dl::kb::KnowledgeBase;
 use dl::Axiom;
-use tableau::{Config, Reasoner, ReasonerError};
+use tableau::{Config, QueryEngine, ReasonerError};
 
 /// A KB whose axioms are ranked into strata; stratum 0 is the most
 /// reliable.
@@ -43,7 +43,7 @@ impl StratifiedBaseline {
         for (i, stratum) in self.strata.iter().enumerate() {
             kept.extend(stratum.iter().cloned());
             let kb = KnowledgeBase::from_axioms(kept.iter().cloned());
-            if !Reasoner::with_config(&kb, self.config.clone()).is_consistent()? {
+            if !QueryEngine::with_config(&kb, self.config.clone()).is_consistent()? {
                 return Ok(i);
             }
         }
@@ -72,7 +72,7 @@ impl InconsistencyBaseline for StratifiedBaseline {
         }
         let kb = self.cut()?;
         Ok(
-            if Reasoner::with_config(&kb, self.config.clone()).entails(query)? {
+            if QueryEngine::with_config(&kb, self.config.clone()).entails(query)? {
                 Answer::Yes
             } else {
                 Answer::No

@@ -10,7 +10,7 @@ use ontogen::taxonomy::{taxonomy_kb, TaxonomyParams};
 use shoin4::{InclusionKind, KnowledgeBase4, Reasoner4};
 use std::hint::black_box;
 use std::time::Instant;
-use tableau::Reasoner;
+use tableau::QueryEngine;
 
 fn bench_complexity_parity(c: &mut Criterion) {
     let mut group = c.benchmark_group("C2_complexity_parity");
@@ -26,7 +26,7 @@ fn bench_complexity_parity(c: &mut Criterion) {
         let kb4 = KnowledgeBase4::from_classical(&kb, InclusionKind::Internal);
         group.bench_with_input(BenchmarkId::new("classical", depth), &kb, |b, kb| {
             b.iter(|| {
-                let mut r = Reasoner::new(black_box(kb));
+                let r = QueryEngine::new(black_box(kb));
                 black_box(r.is_consistent().expect("within limits"))
             })
         });
@@ -44,7 +44,7 @@ fn bench_complexity_parity(c: &mut Criterion) {
                     let r = Reasoner4::new(&kb4);
                     black_box(r.is_satisfiable().expect("ok"));
                 } else {
-                    let mut r = Reasoner::new(&kb);
+                    let r = QueryEngine::new(&kb);
                     black_box(r.is_consistent().expect("ok"));
                 }
             }

@@ -8,7 +8,7 @@ use ontogen::random::{random_kb, RandomParams};
 use ontogen::taxonomy::{taxonomy_kb, TaxonomyParams};
 use std::hint::black_box;
 use tableau::config::BlockingStrategy;
-use tableau::{Config, Reasoner};
+use tableau::{Config, QueryEngine};
 
 fn bench_scaling_axioms(c: &mut Criterion) {
     let mut group = c.benchmark_group("X2_scaling_axioms");
@@ -26,14 +26,14 @@ fn bench_scaling_axioms(c: &mut Criterion) {
         let n = kb.len();
         group.bench_with_input(BenchmarkId::new("taxonomy", n), &kb, |b, kb| {
             b.iter(|| {
-                let mut r = Reasoner::new(black_box(kb));
+                let r = QueryEngine::new(black_box(kb));
                 black_box(r.is_consistent().expect("within limits"))
             })
         });
         let start = std::time::Instant::now();
         let reps = 5;
         for _ in 0..reps {
-            let mut r = Reasoner::new(&kb);
+            let r = QueryEngine::new(&kb);
             black_box(r.is_consistent().expect("ok"));
         }
         rows.push(bench::ExperimentRow {
@@ -65,7 +65,7 @@ fn bench_scaling_axioms(c: &mut Criterion) {
             max_rule_applications: 100_000,
             ..Config::default()
         };
-        let probe = Reasoner::with_config(&kb, probe_cfg).is_consistent();
+        let probe = QueryEngine::with_config(&kb, probe_cfg).is_consistent();
         if probe.is_err() {
             rows.push(bench::ExperimentRow {
                 experiment: "X2".into(),
@@ -78,14 +78,14 @@ fn bench_scaling_axioms(c: &mut Criterion) {
         }
         group.bench_with_input(BenchmarkId::new("random", n), &kb, |b, kb| {
             b.iter(|| {
-                let mut r = Reasoner::new(black_box(kb));
+                let r = QueryEngine::new(black_box(kb));
                 black_box(r.is_consistent().expect("probed"))
             })
         });
         let start = std::time::Instant::now();
         let reps = 5;
         for _ in 0..reps {
-            let mut r = Reasoner::new(&kb);
+            let r = QueryEngine::new(&kb);
             black_box(r.is_consistent().expect("probed"));
         }
         rows.push(bench::ExperimentRow {
@@ -122,7 +122,7 @@ fn bench_ablation_blocking(c: &mut Criterion) {
                     blocking: strategy,
                     ..Config::default()
                 };
-                let mut r = Reasoner::with_config(&kb, cfg);
+                let r = QueryEngine::with_config(&kb, cfg);
                 black_box(r.is_consistent().expect("within limits"))
             })
         });
@@ -144,7 +144,7 @@ fn bench_ablation_branching(c: &mut Criterion) {
                     semantic_branching: semantic,
                     ..Config::default()
                 };
-                let mut r = Reasoner::with_config(&kb, cfg);
+                let r = QueryEngine::with_config(&kb, cfg);
                 black_box(r.is_consistent().expect("within limits"))
             })
         });
@@ -168,7 +168,7 @@ fn bench_ablation_absorption(c: &mut Criterion) {
                     absorption,
                     ..Config::default()
                 };
-                let mut r = Reasoner::with_config(&kb, cfg);
+                let r = QueryEngine::with_config(&kb, cfg);
                 black_box(r.is_consistent().expect("within limits"))
             })
         });

@@ -2,12 +2,13 @@
 //! (`target/experiments/*.jsonl`, written by the benches) into markdown
 //! tables — the data half of EXPERIMENTS.md.
 //!
-//! The committed repo-root snapshots (`BENCH_*.json` — e.g.
-//! `BENCH_modules.json`, `BENCH_horn.json`) are read first as the
-//! baseline, so the summary is complete even before any local bench
-//! run; rows are appended on every bench run and the summarizer keeps
-//! the *last* row per (experiment, series, x), i.e. the most recent
-//! local measurement wins over the snapshot.
+//! The committed repo-root snapshots (`BENCH_*.json`, written by
+//! `bench::write_snapshot` — e.g. `BENCH_modules.json`,
+//! `BENCH_horn.json`) are read first as the baseline, so the summary is
+//! complete even before any local bench run; rows are appended on every
+//! bench run and the summarizer keeps the *last* row per (experiment,
+//! series, x), i.e. the most recent local measurement wins over the
+//! snapshot. A snapshot row's `value` is its median.
 
 use std::collections::BTreeMap;
 use std::path::Path;
@@ -91,11 +92,6 @@ fn main() -> std::io::Result<()> {
             .push((series, f64::from_bits(xbits), value, unit));
     }
     for (exp, mut rows) in by_exp {
-        rows.sort_by(|a, b| {
-            (a.0.clone(), a.1.total_cmp(&b.1))
-                .partial_cmp(&(b.0.clone(), b.1.total_cmp(&b.1)))
-                .unwrap_or(std::cmp::Ordering::Equal)
-        });
         rows.sort_by(|a, b| a.0.cmp(&b.0).then(a.1.total_cmp(&b.1)));
         println!("### Experiment {exp}\n");
         println!("| series | x | value | unit |");

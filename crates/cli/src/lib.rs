@@ -1355,6 +1355,30 @@ check";
     }
 
     #[test]
+    fn session_scripts_hold_concepts_to_the_depth_cap() {
+        // `n` negations of `A`: a tree of height `n + 1`.
+        let script = |n: usize| format!("add x : A\nquery x {}A", "not ".repeat(n));
+        let at_cap = dl::MAX_CONCEPT_DEPTH - 1;
+        let fs = MemFs::new(&[("ops.txt", &script(at_cap))]);
+        let out = fs.run(&["session", "--script", "ops.txt"]).unwrap();
+        let want = if at_cap.is_multiple_of(2) {
+            "= t"
+        } else {
+            "= f"
+        };
+        assert!(out.contains(want), "{out}");
+        for n in [at_cap + 1, 30_000] {
+            let fs = MemFs::new(&[("ops.txt", &script(n))]);
+            let err = fs
+                .run(&["session", "--script", "ops.txt"])
+                .unwrap_err()
+                .to_string();
+            assert!(err.contains("script line 2"), "{err}");
+            assert!(err.contains("nested deeper"), "{err}");
+        }
+    }
+
+    #[test]
     fn durable_session_dir_persists_across_invocations() {
         let dir = std::env::temp_dir().join(format!("shoin4-cli-session-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);

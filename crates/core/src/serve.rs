@@ -1149,8 +1149,8 @@ fn cancel_tenant_inflight(inflight: &Inflight, tenant: &str) -> usize {
 /// level-distinct concepts defeat pairwise blocking for `depth` levels,
 /// so a consistency search explores up to `2^depth` nodes and only a
 /// limit, the time budget or a cancellation token stops it. Used by the
-/// hostile-tenant scenarios in `tests/serve_parity.rs` and
-/// `benches/serving_saturation.rs`.
+/// hostile-tenant scenarios in `tests/serve_parity.rs`, this module's
+/// cancellation tests and the `hardness_lanes` bench.
 pub fn hostile_kb(depth: usize) -> KnowledgeBase4 {
     let mut axioms = Vec::new();
     let (r, s) = (RoleName::new("hr"), RoleName::new("hs"));

@@ -45,7 +45,7 @@ pub mod printer;
 pub mod snapshot;
 
 pub use axiom::{Axiom, RoleExpr};
-pub use concept::{Concept, ConceptVariant};
+pub use concept::{Concept, ConceptVariant, MAX_CONCEPT_DEPTH};
 pub use datatype::{DataRange, DataValue};
 pub use kb::{KnowledgeBase, Signature};
 pub use name::{ConceptName, DataRoleName, DatatypeName, IndividualName, RoleName};

@@ -92,11 +92,11 @@ pub fn verify_extracted(m: &ExtractedModel, kb: &KnowledgeBase) -> Option<bool> 
 mod tests {
     use super::*;
     use dl::parser::parse_kb;
-    use tableau::Reasoner;
+    use tableau::QueryEngine;
 
     fn model_of(src: &str) -> (ExtractedModel, KnowledgeBase) {
         let kb = parse_kb(src).unwrap();
-        let mut r = Reasoner::new(&kb);
+        let r = QueryEngine::new(&kb);
         let m = r.find_model().unwrap().expect("satisfiable");
         (m, kb)
     }
@@ -183,7 +183,7 @@ mod tests {
                 time_budget: Some(std::time::Duration::from_millis(500)),
                 ..Default::default()
             };
-            let mut r = Reasoner::with_config(&kb, cfg);
+            let r = QueryEngine::with_config(&kb, cfg);
             let Ok(Some(m)) = r.find_model() else {
                 continue;
             };

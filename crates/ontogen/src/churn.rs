@@ -7,8 +7,10 @@
 //! island must leave every other island's cached module, Horn program,
 //! and entailment rows warm, so sustained mutate+query throughput stays
 //! far above rebuild-per-mutation. The generator is the ground truth
-//! for both the `incremental_churn` benchmark and the differential
-//! parity suite (`tests/incremental_parity.rs`).
+//! for the differential parity suite and its invalidation-granularity
+//! check (`tests/incremental_parity.rs`); the end-to-end `churn`
+//! workload of `e2ebench` builds its own trace over `hardness_mix`
+//! islands.
 
 use crate::modular::{modular_kb4, ModularParams, PlantedPartition};
 use dl::name::IndividualName;

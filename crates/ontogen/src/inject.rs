@@ -63,15 +63,15 @@ pub fn inject_contradictions(kb: &mut KnowledgeBase, n: usize, seed: u64) -> Vec
 mod tests {
     use super::*;
     use dl::parser::parse_kb;
-    use tableau::Reasoner;
+    use tableau::QueryEngine;
 
     #[test]
     fn injection_makes_kb_inconsistent() {
         let mut kb = parse_kb("A SubClassOf B\nx : A").unwrap();
-        assert!(Reasoner::new(&kb).is_consistent().unwrap());
+        assert!(QueryEngine::new(&kb).is_consistent().unwrap());
         let injected = inject_contradictions(&mut kb, 1, 7);
         assert_eq!(injected.len(), 1);
-        assert!(!Reasoner::new(&kb).is_consistent().unwrap());
+        assert!(!QueryEngine::new(&kb).is_consistent().unwrap());
     }
 
     #[test]

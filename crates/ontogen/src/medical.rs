@@ -100,7 +100,7 @@ pub fn medical_kb(p: &MedicalParams) -> (KnowledgeBase, Vec<usize>) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tableau::Reasoner;
+    use tableau::QueryEngine;
 
     #[test]
     fn no_conflicts_means_consistent() {
@@ -109,7 +109,7 @@ mod tests {
             ..Default::default()
         });
         assert!(conflicted.is_empty());
-        assert!(Reasoner::new(&kb).is_consistent().unwrap());
+        assert!(QueryEngine::new(&kb).is_consistent().unwrap());
     }
 
     #[test]
@@ -120,7 +120,7 @@ mod tests {
             ..Default::default()
         });
         assert_eq!(conflicted.len(), 3);
-        assert!(!Reasoner::new(&kb).is_consistent().unwrap());
+        assert!(!QueryEngine::new(&kb).is_consistent().unwrap());
     }
 
     #[test]

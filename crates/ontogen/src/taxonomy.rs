@@ -81,7 +81,7 @@ pub fn class_count(p: &TaxonomyParams) -> usize {
 mod tests {
     use super::*;
     use dl::IndividualName;
-    use tableau::Reasoner;
+    use tableau::QueryEngine;
 
     #[test]
     fn shape_matches_parameters() {
@@ -101,7 +101,7 @@ mod tests {
     #[test]
     fn taxonomy_is_consistent_and_subsumption_works() {
         let kb = taxonomy_kb(&TaxonomyParams::default());
-        let mut r = Reasoner::new(&kb);
+        let r = QueryEngine::new(&kb);
         assert!(r.is_consistent().unwrap());
         // A leaf individual is an instance of the root.
         assert!(r
@@ -122,7 +122,7 @@ mod tests {
     #[test]
     fn disjoint_siblings_conflict() {
         let kb = taxonomy_kb(&TaxonomyParams::default());
-        let mut r = Reasoner::new(&kb);
+        let r = QueryEngine::new(&kb);
         // Being in two disjoint siblings is unsatisfiable.
         let c = Concept::atomic(class_name(1, 0)).and(Concept::atomic(class_name(1, 1)));
         assert!(!r.is_concept_satisfiable(&c).unwrap());

@@ -133,13 +133,13 @@ pub fn university_kb(params: &UniversityParams) -> (KnowledgeBase, Vec<Individua
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tableau::Reasoner;
+    use tableau::QueryEngine;
 
     #[test]
     fn clean_university_is_consistent() {
         let (kb, conflicted) = university_kb(&UniversityParams::default());
         assert!(conflicted.is_empty());
-        let mut r = Reasoner::new(&kb);
+        let r = QueryEngine::new(&kb);
         assert!(r.is_consistent().unwrap());
         // Professors are persons via the chain.
         assert!(r
@@ -165,7 +165,7 @@ mod tests {
             seed: 3,
         });
         assert_eq!(conflicted.len(), 1);
-        let mut r = Reasoner::new(&kb);
+        let r = QueryEngine::new(&kb);
         assert!(!r.is_consistent().unwrap());
     }
 

@@ -1,4 +1,4 @@
-//! The shared, immutable query engine behind [`crate::Reasoner`].
+//! The shared, immutable query engine: the tableau's public entry point.
 //!
 //! [`QueryEngine`] owns the preprocessed [`Context`] and the initialized
 //! base [`CompletionGraph`]; every reasoning service takes `&self` and

@@ -1,141 +1,40 @@
-//! The public reasoner API — a thin `&mut` facade over the shared
-//! [`QueryEngine`].
+//! End-to-end checks of the four reasoning services of [`QueryEngine`]
+//! (consistency, concept satisfiability, subsumption, instance checking)
+//! plus entailment, classification, model extraction and the resource
+//! limits, each on a small KB.
 //!
-//! Historically `Reasoner` owned the preprocessed context *and* all the
-//! mutable query state (stats accumulator, consistency cache, fresh-name
-//! counter), which forced `&mut self` on every service and made batch
-//! surveys strictly sequential. All of that state now lives behind
-//! interior mutability in [`QueryEngine`]; this wrapper keeps the
-//! original `&mut` signatures for source compatibility and exposes the
-//! engine itself via [`Reasoner::engine`] for callers that want to share
-//! one context across threads.
-
-use crate::config::{Config, ReasonerError};
-use crate::engine::QueryEngine;
-use crate::stats::Stats;
-use dl::axiom::Axiom;
-use dl::kb::KnowledgeBase;
-use dl::name::{ConceptName, IndividualName};
-use dl::Concept;
-use std::collections::{BTreeMap, BTreeSet};
-
-/// A SHOIN(D) reasoner over a fixed knowledge base.
-///
-/// Construction preprocesses the KB once; every query then works on a
-/// clone of the initialized completion graph, so queries do not interfere.
-pub struct Reasoner {
-    engine: QueryEngine,
-}
-
-impl Reasoner {
-    /// Preprocess `kb` with the default configuration.
-    pub fn new(kb: &KnowledgeBase) -> Self {
-        Self::with_config(kb, Config::default())
-    }
-
-    /// Preprocess `kb` with an explicit configuration.
-    pub fn with_config(kb: &KnowledgeBase, config: Config) -> Self {
-        Reasoner {
-            engine: QueryEngine::with_config(kb, config),
-        }
-    }
-
-    /// The shared query engine: every service below is a thin delegation
-    /// to it. Borrow this to run queries from several threads at once.
-    pub fn engine(&self) -> &QueryEngine {
-        &self.engine
-    }
-
-    /// Consume the wrapper, keeping the engine (e.g. to move it into an
-    /// `Arc`).
-    pub fn into_engine(self) -> QueryEngine {
-        self.engine
-    }
-
-    /// Accumulated search statistics across all queries.
-    pub fn stats(&self) -> Stats {
-        self.engine.stats()
-    }
-
-    /// Active configuration.
-    pub fn config(&self) -> &Config {
-        self.engine.config()
-    }
-
-    /// Find a model of the KB, if one exists: run the tableau to
-    /// completion and extract the final structure. See
-    /// [`crate::model::ExtractedModel::blocked_nodes`] for the finiteness
-    /// caveat.
-    pub fn find_model(&mut self) -> Result<Option<crate::model::ExtractedModel>, ReasonerError> {
-        self.engine.find_model()
-    }
-
-    /// Is the knowledge base satisfiable?
-    pub fn is_consistent(&mut self) -> Result<bool, ReasonerError> {
-        self.engine.is_consistent()
-    }
-
-    /// Is `c` satisfiable w.r.t. the KB (some model has a `c`-instance)?
-    pub fn is_concept_satisfiable(&mut self, c: &Concept) -> Result<bool, ReasonerError> {
-        self.engine.is_concept_satisfiable(c)
-    }
-
-    /// Does the KB entail `sub ⊑ sup`? (`sub ⊓ ¬sup` unsatisfiable.)
-    pub fn is_subsumed_by(&mut self, sub: &Concept, sup: &Concept) -> Result<bool, ReasonerError> {
-        self.engine.is_subsumed_by(sub, sup)
-    }
-
-    /// Does the KB entail `a : c`? (`KB ∪ {a:¬c}` inconsistent.)
-    pub fn is_instance_of(
-        &mut self,
-        a: &IndividualName,
-        c: &Concept,
-    ) -> Result<bool, ReasonerError> {
-        self.engine.is_instance_of(a, c)
-    }
-
-    /// Does the KB entail the given axiom? Supports every axiom form via
-    /// the standard reductions to KB (un)satisfiability.
-    pub fn entails(&mut self, axiom: &Axiom) -> Result<bool, ReasonerError> {
-        self.engine.entails(axiom)
-    }
-
-    /// Compute, for every named concept in `sig_concepts`, the set of
-    /// named concepts subsuming it (including itself and implicitly `⊤`).
-    /// Brute-force n² classification with unsatisfiable-concept handling.
-    pub fn classify(
-        &mut self,
-        sig_concepts: &BTreeSet<ConceptName>,
-    ) -> Result<BTreeMap<ConceptName, BTreeSet<ConceptName>>, ReasonerError> {
-        self.engine.classify(sig_concepts)
-    }
-}
+//! [`QueryEngine`]: crate::engine::QueryEngine
 
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use dl::axiom::RoleExpr;
+    use crate::config::{Config, ReasonerError};
+    use crate::engine::QueryEngine;
+    use dl::axiom::{Axiom, RoleExpr};
+    use dl::kb::KnowledgeBase;
+    use dl::name::{ConceptName, IndividualName};
     use dl::parser::parse_kb;
+    use dl::Concept;
+    use std::collections::BTreeSet;
 
-    fn reasoner(src: &str) -> Reasoner {
-        Reasoner::new(&parse_kb(src).unwrap())
+    fn reasoner(src: &str) -> QueryEngine {
+        QueryEngine::new(&parse_kb(src).unwrap())
     }
 
     #[test]
     fn empty_kb_is_consistent() {
-        let mut r = reasoner("");
+        let r = reasoner("");
         assert!(r.is_consistent().unwrap());
     }
 
     #[test]
     fn simple_clash() {
-        let mut r = reasoner("a : A and not A");
+        let r = reasoner("a : A and not A");
         assert!(!r.is_consistent().unwrap());
     }
 
     #[test]
     fn tweety_kb_is_inconsistent() {
-        let mut r = reasoner(
+        let r = reasoner(
             "Bird and (hasWing some Wing) SubClassOf Fly
              Penguin SubClassOf Bird
              Penguin SubClassOf hasWing some Wing
@@ -150,7 +49,7 @@ mod tests {
 
     #[test]
     fn subsumption_via_tbox() {
-        let mut r = reasoner(
+        let r = reasoner(
             "Surgeon SubClassOf Doctor
              Doctor SubClassOf Person",
         );
@@ -164,7 +63,7 @@ mod tests {
 
     #[test]
     fn instance_checking_through_exists() {
-        let mut r = reasoner(
+        let r = reasoner(
             "hasPatient some Patient SubClassOf Doctor
              Patient(x, y) # dummy comment form not used
              mary : Patient
@@ -181,7 +80,7 @@ mod tests {
     #[test]
     fn existential_tbox_cycle_terminates_by_blocking() {
         // Person ⊑ ∃hasParent.Person — infinite model, blocking must kick in.
-        let mut r = reasoner(
+        let r = reasoner(
             "Person SubClassOf hasParent some Person
              p : Person",
         );
@@ -192,7 +91,7 @@ mod tests {
     fn inverse_roles_propagate() {
         // ∀hasChild⁻.Person at the child means every parent is a Person...
         // direct check: hasChild(a, b), b : ∀(inverse hasChild).A ⟹ a : A.
-        let mut r = reasoner(
+        let r = reasoner(
             "hasChild(a, b)
              b : inverse hasChild only A",
         );
@@ -203,7 +102,7 @@ mod tests {
 
     #[test]
     fn transitivity_propagates_forall() {
-        let mut r = reasoner(
+        let r = reasoner(
             "Transitive(anc)
              anc(a, b)
              anc(b, c)
@@ -216,7 +115,7 @@ mod tests {
 
     #[test]
     fn role_hierarchy_in_queries() {
-        let mut r = reasoner(
+        let r = reasoner(
             "hasSon SubRoleOf hasChild
              hasSon(a, b)
              a : hasChild only Human",
@@ -241,7 +140,7 @@ mod tests {
     #[test]
     fn number_restrictions_merge_and_clash() {
         // a has two children asserted distinct but ≤1 child: inconsistent.
-        let mut r = reasoner(
+        let r = reasoner(
             "hasChild(a, b)
              hasChild(a, c)
              b != c
@@ -249,14 +148,14 @@ mod tests {
         );
         assert!(!r.is_consistent().unwrap());
         // Without distinctness the children merge: consistent.
-        let mut r = reasoner(
+        let r = reasoner(
             "hasChild(a, b)
              hasChild(a, c)
              a : hasChild max 1",
         );
         assert!(r.is_consistent().unwrap());
         // And the merge makes b = c entailed.
-        let mut r = reasoner(
+        let r = reasoner(
             "hasChild(a, b)
              hasChild(a, c)
              a : hasChild max 1",
@@ -271,15 +170,15 @@ mod tests {
 
     #[test]
     fn at_least_generates() {
-        let mut r = reasoner("a : hasChild min 3 and hasChild max 2");
+        let r = reasoner("a : hasChild min 3 and hasChild max 2");
         assert!(!r.is_consistent().unwrap());
-        let mut r = reasoner("a : hasChild min 2 and hasChild max 2");
+        let r = reasoner("a : hasChild min 2 and hasChild max 2");
         assert!(r.is_consistent().unwrap());
     }
 
     #[test]
     fn nominals_merge() {
-        let mut r = reasoner(
+        let r = reasoner(
             "a : {b}
              a : A",
         );
@@ -288,7 +187,7 @@ mod tests {
             .is_instance_of(&IndividualName::new("b"), &Concept::atomic("A"))
             .unwrap());
         // But a : {b} with a ≠ b clashes.
-        let mut r = reasoner(
+        let r = reasoner(
             "a : {b}
              a != b",
         );
@@ -297,7 +196,7 @@ mod tests {
 
     #[test]
     fn multi_element_nominal_branches() {
-        let mut r = reasoner(
+        let r = reasoner(
             "x : {a, b}
              a : A
              b : B
@@ -315,7 +214,7 @@ mod tests {
 
     #[test]
     fn same_and_different_individuals() {
-        let mut r = reasoner(
+        let r = reasoner(
             "a = b
              b = c
              a : A",
@@ -323,7 +222,7 @@ mod tests {
         assert!(r
             .is_instance_of(&IndividualName::new("c"), &Concept::atomic("A"))
             .unwrap());
-        let mut r = reasoner(
+        let r = reasoner(
             "a = b
              a != b",
         );
@@ -332,7 +231,7 @@ mod tests {
 
     #[test]
     fn datatype_reasoning_end_to_end() {
-        let mut r = reasoner(
+        let r = reasoner(
             "DataRole: hasAge
              Minor EquivalentTo hasAge some integer[0..17]
              hasAge(kid, 12)
@@ -344,7 +243,7 @@ mod tests {
             .unwrap());
         // Age both 12 and (via Minor-membership assertion of an adult
         // range) impossible:
-        let mut r = reasoner(
+        let r = reasoner(
             "DataRole: hasAge
              hasAge(kid, 12)
              kid : hasAge max 1
@@ -355,7 +254,7 @@ mod tests {
 
     #[test]
     fn entails_role_and_data_assertions() {
-        let mut r = reasoner("r(a, b)\nage(a, 4)");
+        let r = reasoner("r(a, b)\nage(a, 4)");
         assert!(r
             .entails(&Axiom::RoleAssertion(
                 dl::RoleName::new("r"),
@@ -388,7 +287,7 @@ mod tests {
 
     #[test]
     fn entails_transitivity_only_when_declared() {
-        let mut r = reasoner("Transitive(anc)");
+        let r = reasoner("Transitive(anc)");
         assert!(r
             .entails(&Axiom::Transitive(dl::RoleName::new("anc")))
             .unwrap());
@@ -399,7 +298,7 @@ mod tests {
 
     #[test]
     fn inconsistent_kb_entails_everything() {
-        let mut r = reasoner("a : A and not A");
+        let r = reasoner("a : A and not A");
         assert!(r
             .is_instance_of(&IndividualName::new("zzz"), &Concept::atomic("Q"))
             .unwrap_or(true));
@@ -413,7 +312,7 @@ mod tests {
 
     #[test]
     fn classification_orders_hierarchy() {
-        let mut r = reasoner(
+        let r = reasoner(
             "Surgeon SubClassOf Doctor
              Doctor SubClassOf Person
              Nurse SubClassOf Person",
@@ -430,7 +329,7 @@ mod tests {
 
     #[test]
     fn concept_satisfiability_with_global_tbox() {
-        let mut r = reasoner("A SubClassOf not A");
+        let r = reasoner("A SubClassOf not A");
         // A ⊑ ¬A makes A unsatisfiable but the KB consistent.
         assert!(r.is_consistent().unwrap());
         assert!(!r.is_concept_satisfiable(&Concept::atomic("A")).unwrap());
@@ -443,8 +342,8 @@ mod tests {
                    Doctor SubClassOf Person
                    s : Surgeon";
         let kb = parse_kb(src).unwrap();
-        let mut with = Reasoner::with_config(&kb, Config::default());
-        let mut without = Reasoner::with_config(
+        let with = QueryEngine::with_config(&kb, Config::default());
+        let without = QueryEngine::with_config(
             &kb,
             Config {
                 absorption: false,
@@ -467,8 +366,8 @@ mod tests {
     fn semantic_branching_gives_same_answers() {
         let src = "a : (A or B) and (A or not B) and (not A or B) and not B";
         let kb = parse_kb(src).unwrap();
-        let mut plain = Reasoner::with_config(&kb, Config::default());
-        let mut semantic = Reasoner::with_config(
+        let plain = QueryEngine::with_config(&kb, Config::default());
+        let semantic = QueryEngine::with_config(
             &kb,
             Config {
                 semantic_branching: true,
@@ -487,14 +386,14 @@ mod tests {
             IndividualName::new("a"),
             Concept::one_of([]),
         )]);
-        let mut r = Reasoner::new(&kb);
+        let r = QueryEngine::new(&kb);
         assert!(!r.is_consistent().unwrap());
     }
 
     #[test]
     fn negated_nominal_distinctness() {
         // a : ¬{b} is exactly a ≠ b.
-        let mut r = reasoner("a : not {b}");
+        let r = reasoner("a : not {b}");
         assert!(r.is_consistent().unwrap());
         assert!(r
             .entails(&Axiom::DifferentIndividuals(
@@ -502,19 +401,19 @@ mod tests {
                 IndividualName::new("b"),
             ))
             .unwrap());
-        let mut r = reasoner("a : not {b}\na = b");
+        let r = reasoner("a : not {b}\na = b");
         assert!(!r.is_consistent().unwrap());
     }
 
     #[test]
     fn find_model_none_on_inconsistent_kb() {
-        let mut r = reasoner("x : A and not A");
+        let r = reasoner("x : A and not A");
         assert!(r.find_model().unwrap().is_none());
     }
 
     #[test]
     fn find_model_extracts_individuals() {
-        let mut r = reasoner("r(a, b)\na : A");
+        let r = reasoner("r(a, b)\na : A");
         let m = r.find_model().unwrap().expect("satisfiable");
         assert_eq!(m.blocked_nodes, 0);
         assert!(m.individual(&IndividualName::new("a")).is_some());
@@ -528,7 +427,7 @@ mod tests {
              p : Person",
         )
         .unwrap();
-        let mut r = Reasoner::with_config(
+        let r = QueryEngine::with_config(
             &kb,
             Config {
                 max_nodes: 2,
@@ -551,7 +450,7 @@ mod tests {
              p : Person",
         )
         .unwrap();
-        let mut r = Reasoner::with_config(
+        let r = QueryEngine::with_config(
             &kb,
             Config {
                 max_nodes: 2,
@@ -573,7 +472,7 @@ mod tests {
         .unwrap();
         let flag = Arc::new(AtomicBool::new(false));
         flag.store(true, Ordering::Relaxed);
-        let mut r = Reasoner::with_config(
+        let r = QueryEngine::with_config(
             &kb,
             Config {
                 cancel: Some(flag),
@@ -616,7 +515,7 @@ mod tests {
         };
         let _guard = crate::interrupt::install(Arc::clone(&token));
         let started = std::time::Instant::now();
-        let mut r = Reasoner::with_config(
+        let r = QueryEngine::with_config(
             &kb,
             Config {
                 max_nodes: usize::MAX,

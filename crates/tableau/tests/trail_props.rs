@@ -16,7 +16,7 @@ use proptest::prelude::*;
 use rand::{rngs::StdRng, Rng, SeedableRng};
 use tableau::graph::CompletionGraph;
 use tableau::trail::DepSet;
-use tableau::{Config, Reasoner, SearchStrategy};
+use tableau::{Config, QueryEngine, SearchStrategy};
 
 fn params(seed: u64) -> RandomParams {
     RandomParams {
@@ -54,8 +54,8 @@ proptest! {
     #[test]
     fn snapshot_and_trail_agree(seed in 0..u64::MAX) {
         let kb = random_kb(&params(seed));
-        let mut snap = Reasoner::with_config(&kb, cfg(SearchStrategy::Snapshot));
-        let mut trail = Reasoner::with_config(&kb, cfg(SearchStrategy::Trail));
+        let snap = QueryEngine::with_config(&kb, cfg(SearchStrategy::Snapshot));
+        let trail = QueryEngine::with_config(&kb, cfg(SearchStrategy::Trail));
         let (s, t) = (snap.is_consistent(), trail.is_consistent());
         let (Ok(s), Ok(t)) = (s, t) else {
             return Ok(()); // a resource limit fired; nothing to compare
@@ -157,8 +157,8 @@ proptest! {
     #[test]
     fn query_answers_agree(seed in 0..u64::MAX) {
         let kb = random_kb(&params(seed));
-        let mut snap = Reasoner::with_config(&kb, cfg(SearchStrategy::Snapshot));
-        let mut trail = Reasoner::with_config(&kb, cfg(SearchStrategy::Trail));
+        let snap = QueryEngine::with_config(&kb, cfg(SearchStrategy::Snapshot));
+        let trail = QueryEngine::with_config(&kb, cfg(SearchStrategy::Trail));
         let c0 = Concept::atomic("C0");
         let c1 = Concept::atomic("C1");
         let queries = [

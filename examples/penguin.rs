@@ -12,7 +12,7 @@
 use dl::{Concept, IndividualName};
 use fourval::TruthValue;
 use shoin4::{parse_kb4, Reasoner4};
-use tableau::Reasoner;
+use tableau::QueryEngine;
 
 const CLASSICAL: &str = "Bird and (hasWing some Wing) SubClassOf Fly
 Penguin SubClassOf Bird
@@ -35,7 +35,7 @@ hasWing(tweety, w)";
 fn main() {
     // --- Classical reading: explosion. -----------------------------------
     let classical = dl::parser::parse_kb(CLASSICAL).expect("classical KB parses");
-    let mut classical_reasoner = Reasoner::new(&classical);
+    let classical_reasoner = QueryEngine::new(&classical);
     let consistent = classical_reasoner.is_consistent().unwrap();
     println!("classical SHOIN(D) reading consistent? {consistent}");
     assert!(!consistent);

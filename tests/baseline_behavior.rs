@@ -25,7 +25,7 @@ fn classical_explosion_on_example_2() {
          john : UrgencyTeam",
     )
     .unwrap();
-    let mut r = tableau::Reasoner::new(&kb);
+    let r = tableau::QueryEngine::new(&kb);
     assert!(!r.is_consistent().unwrap());
     assert!(
         r.entails(&q("john", "Patient")).unwrap(),

@@ -4,12 +4,13 @@
 //! random add/retract interleavings over mixed-kind corpora plus the
 //! localized churn workloads the subsystem is optimized for — every
 //! four-valued verdict and satisfiability answer out of a long-lived
-//! [`Session`] must be bit-identical to a fresh [`Reasoner4`] rebuilt
-//! from scratch over the session's current KB with
-//! [`QueryOptions::baseline`] (no told fast path, no entailment cache,
-//! no threads): if an invalidation pass ever keeps a stale module,
-//! Horn program, entailment row or told row alive, some interleaving
-//! here diverges.
+//! [`Session`] must be bit-identical to an independent [`Oracle`]: the
+//! plain tableau over the induced classical KB `transform_kb(K)`,
+//! rebuilt from scratch over the session's current KB. The oracle shares
+//! none of the session's pipeline (told index, entailment cache, module
+//! extraction, Horn rung), so if an invalidation pass ever keeps a stale
+//! module, Horn program, entailment row or told row alive, some
+//! interleaving here diverges.
 //!
 //! The durable layer is covered by crash-replay tests: a WAL whose
 //! tail was torn mid-line (the partial write of a crash) must reopen
@@ -24,14 +25,15 @@
 
 use dl::name::IndividualName;
 use dl::Concept;
+use fourval::TruthValue;
 use ontogen::churn::{churn_workload, ChurnOp, ChurnParams};
 use ontogen::modular::ModularParams;
 use ontogen::random::{random_kb4, RandomParams};
 use proptest::prelude::*;
-use shoin4::reasoner4::QueryOptions;
-use shoin4::{Axiom4, KnowledgeBase4, Reasoner4, Session};
+use shoin4::{transform_concept, transform_kb, transform_neg_concept};
+use shoin4::{Axiom4, KnowledgeBase4, Session};
 use std::time::Duration;
-use tableau::Config;
+use tableau::{Config, QueryEngine, ReasonerError};
 
 fn small_params(seed: u64) -> RandomParams {
     RandomParams {
@@ -57,8 +59,31 @@ fn config() -> Config {
     }
 }
 
-fn fresh(kb: &KnowledgeBase4) -> Reasoner4 {
-    Reasoner4::with_options(kb, config(), QueryOptions::baseline())
+/// Corollary 7 straight over one unscoped tableau: `a : C` has
+/// information for it iff `K̄ ⊨ a : C̄` and against it iff
+/// `K̄ ⊨ a : ¬C̄` (the transformed negation); `K` is satisfiable iff `K̄`
+/// is (Theorem 6).
+struct Oracle {
+    engine: QueryEngine,
+}
+
+impl Oracle {
+    fn new(kb: &KnowledgeBase4) -> Oracle {
+        Oracle {
+            engine: QueryEngine::with_config(&transform_kb(kb), config()),
+        }
+    }
+
+    fn query(&self, a: &IndividualName, c: &Concept) -> Result<TruthValue, ReasonerError> {
+        Ok(TruthValue::from_bits(
+            self.engine.is_instance_of(a, &transform_concept(c))?,
+            self.engine.is_instance_of(a, &transform_neg_concept(c))?,
+        ))
+    }
+
+    fn is_satisfiable(&self) -> Result<bool, ReasonerError> {
+        self.engine.is_consistent()
+    }
 }
 
 /// Every individual × atomic-concept pair of the KB's signature.
@@ -73,12 +98,12 @@ fn signature_grid(kb: &KnowledgeBase4) -> Vec<(IndividualName, Concept)> {
     grid
 }
 
-/// Compare the long-lived session against a from-scratch rebuild over
-/// its current KB. Returns `false` if the time budget was exhausted
-/// (the caller skips the seed).
+/// Compare the long-lived session against the oracle over its current
+/// KB. Returns `false` if the time budget was exhausted (the caller
+/// skips the seed).
 fn session_agrees(session: &Session, seed: u64) -> Result<bool, TestCaseError> {
     let kb = session.kb();
-    let reference = fresh(&kb);
+    let reference = Oracle::new(&kb);
     let (s_sat, r_sat) = match (session.is_satisfiable(), reference.is_satisfiable()) {
         (Ok(s), Ok(r)) => (s, r),
         _ => return Ok(false),
@@ -112,7 +137,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
     /// Random add/retract interleavings over a mixed-kind corpus: the
-    /// session is checked against a fresh rebuild at every fourth step
+    /// session is checked against the oracle at every fourth step
     /// and at the end. Retractions hit both session-added axioms and
     /// base axioms (exercising tombstoned slots inside cached module
     /// keys), and re-adds of retracted axioms exercise slot reuse.
@@ -158,8 +183,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     /// The localized churn workloads the subsystem is optimized for:
-    /// replay the generated trace, answering every query op against a
-    /// fresh rebuild of the current KB, then grid-check the end state.
+    /// replay the generated trace, answering every query op against the
+    /// oracle over the current KB, then grid-check the end state.
     /// Modular islands make invalidation *actually* partial here, so a
     /// dirty-test that spares too much (instead of too little) has
     /// warm-but-stale modules to get caught on.
@@ -179,7 +204,7 @@ proptest! {
             hot_island: 0,
         });
         let mut session = Session::new(&kb, config());
-        let mut reference: Option<Reasoner4> = Some(fresh(&kb));
+        let mut reference: Option<Oracle> = Some(Oracle::new(&kb));
         for op in &ops {
             match op {
                 ChurnOp::Add(ax) => {
@@ -191,7 +216,7 @@ proptest! {
                     reference = None;
                 }
                 ChurnOp::Query(a, c) => {
-                    let r = reference.get_or_insert_with(|| fresh(&session.kb()));
+                    let r = reference.get_or_insert_with(|| Oracle::new(&session.kb()));
                     let (sv, rv) = match (session.query(a, c), r.query(a, c)) {
                         (Ok(s), Ok(r)) => (s, r),
                         _ => return Ok(()),
@@ -253,6 +278,52 @@ proptest! {
             );
         }
     }
+}
+
+/// On a localized churn trace (seed 7, three islands of 8 TBox / 12
+/// ABox axioms, one contaminated, 120 ops, 15 % mutations on island 0)
+/// invalidation stays module-granular — on average a mutation drops
+/// under a quarter of the module population — and the entailment cache
+/// keeps answering across mutations.
+#[test]
+fn churn_invalidation_is_module_granular_and_keeps_entailments_warm() {
+    let (kb, _, ops) = churn_workload(&ChurnParams {
+        seed: 7,
+        modular: ModularParams {
+            seed: 7,
+            n_islands: 3,
+            island_tbox: 8,
+            island_abox: 12,
+            contaminated_islands: 1,
+        },
+        ops: 120,
+        mutation_percent: 15,
+        hot_island: 0,
+    });
+    let mut session = Session::new(&kb, Config::default());
+    for op in &ops {
+        match op {
+            ChurnOp::Add(ax) => session.add_axiom(ax.clone()).unwrap(),
+            ChurnOp::Retract(ax) => assert!(session.retract_axiom(ax).unwrap()),
+            ChurnOp::Query(a, c) => {
+                session.query(a, c).unwrap();
+            }
+        }
+    }
+    let stats = session.stats();
+    let modules = session.cached_modules() as u64 + stats.invalidated_modules;
+    assert!(stats.mutations > 0, "trace has no mutations");
+    assert!(
+        stats.invalidated_modules * 4 < stats.mutations * modules,
+        "invalidation not module-granular: {} invalidated over {} mutations, {} modules",
+        stats.invalidated_modules,
+        stats.mutations,
+        modules
+    );
+    assert!(
+        stats.entailment_cache_hits > 0,
+        "entailment cache never hit across the churn trace"
+    );
 }
 
 // ---------------------------------------------------------------------
@@ -378,9 +449,9 @@ fn untouched_wal_replays_the_full_history_bit_identically() {
     let reopened = Session::open_with(&dir, Config::default(), 0).unwrap();
     let want = expected_kb(&base, &muts);
     assert_eq!(reopened.kb(), want);
-    // And the reopened session still *reasons* identically to a fresh
-    // rebuild — replay restores the reasoner, not just the axiom list.
-    let reference = fresh(&want);
+    // And the reopened session still *reasons* identically to the
+    // oracle — replay restores the reasoner, not just the axiom list.
+    let reference = Oracle::new(&want);
     for (a, c) in signature_grid(&want).into_iter().take(12) {
         assert_eq!(
             reopened.query(&a, &c).unwrap(),

@@ -69,7 +69,7 @@ fn example_3_classical_reading_explodes() {
          hasWing(tweety, w)",
     )
     .unwrap();
-    let mut r = tableau::Reasoner::new(&kb);
+    let r = tableau::QueryEngine::new(&kb);
     assert!(!r.is_consistent().unwrap());
     // Triviality: an absurd query is "entailed".
     assert!(r
@@ -176,7 +176,7 @@ fn example_4_classical_reading_is_inconsistent() {
          smith : not Married",
     )
     .unwrap();
-    let mut r = tableau::Reasoner::new(&kb);
+    let r = tableau::QueryEngine::new(&kb);
     assert!(!r.is_consistent().unwrap());
 }
 

@@ -378,6 +378,53 @@ fn serve_protocol_smoke() {
     server.shutdown();
 }
 
+/// Concept nesting is capped where a line is parsed: a query nested to
+/// `dl::MAX_CONCEPT_DEPTH` answers, one level more is a typed `parse`
+/// error, and so are lines far past the cap — 3,000 nested parentheses
+/// and an 8,000-conjunct chain, both under `MAX_LINE_BYTES`, which
+/// overflowed a connection thread's stack before the cap. The server
+/// keeps serving after each.
+#[test]
+fn nesting_past_the_depth_cap_is_a_parse_error_on_the_wire() {
+    let registry = Arc::new(Registry::new(config()));
+    let server = Server::bind(
+        "127.0.0.1:0",
+        Arc::clone(&registry),
+        ServeOptions {
+            workers: 1,
+            ..ServeOptions::default()
+        },
+    )
+    .expect("bind");
+    let mut c = Client::connect(server.local_addr());
+    c.ask("tenant deep");
+    c.ask("add x : A");
+    // `n` negations of `A`: a tree of height `n + 1`; each flips the
+    // told verdict of `x : A`.
+    let negations = |n: usize| format!("query x {}A", "not ".repeat(n));
+    let at_cap = dl::MAX_CONCEPT_DEPTH - 1;
+    let want = if at_cap.is_multiple_of(2) { "t" } else { "f" };
+    assert_eq!(
+        c.ask(&negations(at_cap))
+            .get("verdict")
+            .and_then(Value::as_str),
+        Some(want)
+    );
+    let deep_lines = [
+        negations(at_cap + 1),
+        format!("query x {}A{}", "(".repeat(3000), ")".repeat(3000)),
+        format!("query x {}", vec!["A"; 8000].join(" and ")),
+    ];
+    for line in &deep_lines {
+        let reply = c.ask(line);
+        assert_eq!(reply.get("error").and_then(Value::as_str), Some("parse"));
+        let detail = reply.get("detail").and_then(Value::as_str).unwrap_or("");
+        assert!(detail.contains("nested deeper"), "{reply}");
+        assert_eq!(c.ask("check").get("satisfiable"), Some(&Value::Bool(true)));
+    }
+    server.shutdown();
+}
+
 /// Admission control under saturation: a one-worker, one-slot server
 /// fed hostile requests must shed with a typed `overloaded` reply, and
 /// after the burst is revoked it must keep serving other tenants.

@@ -6,10 +6,10 @@
 
 use dl::parser::{parse_concept, parse_kb};
 use dl::Concept;
-use tableau::{Config, Reasoner};
+use tableau::{Config, QueryEngine};
 
 fn consistent(src: &str) -> bool {
-    Reasoner::new(&parse_kb(src).unwrap())
+    QueryEngine::new(&parse_kb(src).unwrap())
         .is_consistent()
         .expect("within limits")
 }
@@ -17,7 +17,7 @@ fn consistent(src: &str) -> bool {
 fn concept_sat(kb_src: &str, concept_src: &str) -> bool {
     let kb = parse_kb(kb_src).unwrap();
     let c = parse_concept(concept_src).unwrap();
-    Reasoner::new(&kb)
+    QueryEngine::new(&kb)
         .is_concept_satisfiable(&c)
         .expect("within limits")
 }
@@ -242,7 +242,7 @@ fn inverse_blocking_interaction() {
          x : A",
     )
     .unwrap();
-    let mut pairwise = Reasoner::new(&kb);
+    let pairwise = QueryEngine::new(&kb);
     assert!(pairwise.is_consistent().expect("within limits"));
     // And x must be C (x is an r-predecessor of a B).
     assert!(pairwise
@@ -295,7 +295,7 @@ fn resource_limits_do_not_misreport() {
          x : A",
     )
     .unwrap();
-    let mut r = Reasoner::with_config(
+    let r = QueryEngine::with_config(
         &kb,
         Config {
             max_nodes: 1,
@@ -314,7 +314,7 @@ fn deep_taxonomy_instance_retrieval() {
     }
     src.push_str("x : L6\n");
     let kb = parse_kb(&src).unwrap();
-    let mut r = Reasoner::new(&kb);
+    let r = QueryEngine::new(&kb);
     assert!(r
         .is_instance_of(&dl::IndividualName::new("x"), &Concept::atomic("L0"))
         .expect("within limits"));

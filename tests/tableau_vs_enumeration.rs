@@ -12,7 +12,7 @@
 use fourmodels::enumerate::{EnumConfig, ModelIter};
 use ontogen::random::{random_kb, RandomParams};
 use shoin4::{InclusionKind, KnowledgeBase4};
-use tableau::{Config, Reasoner};
+use tableau::{Config, QueryEngine};
 
 fn params(seed: u64) -> RandomParams {
     RandomParams {
@@ -39,7 +39,7 @@ fn tableau_agrees_with_classical_enumeration() {
         cfg.domain_size = 2;
         cfg.max_interpretations = 20_000_000;
         let brute = ModelIter::new(&kb4, &cfg).any(|m| m.satisfies(&kb4));
-        let mut r = Reasoner::with_config(&kb, Config::default());
+        let r = QueryEngine::with_config(&kb, Config::default());
         let tableau_answer = match r.is_consistent() {
             Ok(ans) => ans,
             Err(e) => panic!("resource limit on seed {seed}: {e}"),
@@ -101,7 +101,7 @@ fn tableau_agrees_both_ways_on_propositional_kbs() {
             continue; // keep the suite fast
         }
         let brute = ModelIter::new(&kb4, &cfg).any(|m| m.satisfies(&kb4));
-        let mut r = Reasoner::new(&kb);
+        let r = QueryEngine::new(&kb);
         let fast = r.is_consistent().expect("within limits");
         assert_eq!(
             brute,
@@ -127,7 +127,7 @@ fn instance_checks_agree_on_propositional_kbs() {
         let kb = dl::parser::parse_kb(src).unwrap();
         let kb4 = KnowledgeBase4::from_classical(&kb, InclusionKind::Internal);
         let cfg = EnumConfig::classical_for_kb(&kb4);
-        let mut r = Reasoner::new(&kb);
+        let r = QueryEngine::new(&kb);
         for who in ["x", "y"] {
             let a = IndividualName::new(who);
             if !kb.signature().individuals.contains(&a) {
