@@ -93,7 +93,6 @@ FLAGS (check/report/classify, any order):
     --jobs N            N ≥ 1 worker threads (absent = auto)
     --stats             append search counters
     --module-scoping    run each query on its extracted module only
-    --no-horn           disable the Horn saturation fast path (A/B runs)
 
 SESSION FLAGS (any order):
     --script FILE       verb script; `-` reads stdin (default `-`)
@@ -101,7 +100,6 @@ SESSION FLAGS (any order):
                         omitted = in-memory session
     --snapshot-every N  compact the WAL every N mutations (default 256)
     --stats             append search + cache counters
-    --no-horn           disable the Horn saturation fast path
 
 SERVE FLAGS (any order; --listen required):
     --listen ADDR       bind address, e.g. 127.0.0.1:7474 (port 0 = any
@@ -166,32 +164,24 @@ struct QueryFlags {
     stats: bool,
     /// `--module-scoping`: run each query on its extracted module.
     module_scoping: bool,
-    /// `--no-horn`: force every query through the tableau (the Horn
-    /// saturation fast path is on by default).
-    no_horn: bool,
 }
 
 impl QueryFlags {
     fn config(self) -> tableau::Config {
         tableau::Config {
             module_scoping: self.module_scoping,
-            horn_path: !self.no_horn,
             ..tableau::Config::default()
         }
     }
 
     fn options(self) -> QueryOptions {
-        QueryOptions {
-            jobs: self.jobs,
-            ..QueryOptions::default()
-        }
+        QueryOptions { jobs: self.jobs }
     }
 }
 
 /// Parse trailing query flags: `[--jobs N]` (N ≥ 1 worker threads;
-/// absent = auto), `[--stats]` (append search counters),
-/// `[--module-scoping]` (scope each query to its module) and
-/// `[--no-horn]` (disable the Horn fast path), in any order.
+/// absent = auto), `[--stats]` (append search counters) and
+/// `[--module-scoping]` (scope each query to its module), in any order.
 fn parse_query_flags(rest: &[String]) -> Result<QueryFlags, CliError> {
     let mut flags = QueryFlags::default();
     let mut it = rest.iter();
@@ -203,7 +193,6 @@ fn parse_query_flags(rest: &[String]) -> Result<QueryFlags, CliError> {
             },
             "--stats" => flags.stats = true,
             "--module-scoping" => flags.module_scoping = true,
-            "--no-horn" => flags.no_horn = true,
             _ => return Err(CliError::Usage(USAGE.to_string())),
         }
     }
@@ -255,8 +244,9 @@ fn write_stats_block(out: &mut String, stats: &tableau::Stats) {
         .unwrap();
     }
     // Likewise for the Horn fast path: the line appears only once a
-    // query was actually routed (answered or fell back), so tableau-only
-    // runs and `--no-horn` keep the historical block byte-identical.
+    // probe was actually routed (answered or fell back), so runs whose
+    // probes never reach that rung keep the historical block
+    // byte-identical.
     if stats.horn_queries > 0 || stats.horn_fallbacks > 0 {
         writeln!(
             out,
@@ -725,7 +715,6 @@ pub fn run_with_fs(
             let mut dir: Option<String> = None;
             let mut snapshot_every = shoin4::incremental::DEFAULT_SNAPSHOT_EVERY;
             let mut stats = false;
-            let mut no_horn = false;
             let mut it = rest.iter();
             while let Some(flag) = it.next() {
                 match flag.as_str() {
@@ -742,17 +731,13 @@ pub fn run_with_fs(
                         _ => return Err(CliError::Usage(USAGE.to_string())),
                     },
                     "--stats" => stats = true,
-                    "--no-horn" => no_horn = true,
                     _ => return Err(CliError::Usage(USAGE.to_string())),
                 }
             }
             let bytes = read(&script).map_err(|e| CliError::Io(script.clone(), e))?;
             let text = String::from_utf8(bytes)
                 .map_err(|_| CliError::Parse(format!("{script} is not UTF-8")))?;
-            let config = tableau::Config {
-                horn_path: !no_horn,
-                ..tableau::Config::default()
-            };
+            let config = tableau::Config::default();
             // Durable sessions live on the real filesystem (the WAL is
             // not expressible through the read/write closures).
             let mut session = match &dir {
@@ -993,6 +978,9 @@ john : UrgencyTeam";
             &["report", "kb.dl4", "--threads", "2"][..],
             &["report", "kb.dl4", "--stats", "extra"][..],
             &["classify", "kb.dl4", "--jobs"][..],
+            &["report", "kb.dl4", "--no-horn"][..],
+            &["check", "kb.dl4", "--no-horn"][..],
+            &["classify", "kb.dl4", "--stats", "--no-horn"][..],
         ] {
             assert!(matches!(fs.run(bad), Err(CliError::Usage(_))), "{bad:?}");
         }
@@ -1017,26 +1005,35 @@ john : UrgencyTeam";
         assert!(classified.contains("branch depth"), "{classified}");
     }
 
+    /// Every fact of this KB is contested and told-certain both ways,
+    /// so a survey settles each one before the Horn rung or any module
+    /// is reached.
+    const TOLD_ONLY: &str = "x : A\nx : not A\nx : B\nx : not B";
+
     #[test]
     fn horn_counters_appear_only_when_the_fast_path_runs() {
         // A fully Horn KB: every routed query saturates instead of
         // searching, so `check` (which always prints the stats block)
-        // surfaces the horn counters — and `--no-horn` restores the
-        // historical tableau-only output byte-for-byte.
+        // surfaces the horn counters.
         const HORN: &str = "Doctor SubClassOf Person\nPerson SubClassOf Agent\nmeredith : Doctor";
         let fs = MemFs::new(&[("kb.dl4", HORN)]);
         let fast = fs.run(&["check", "kb.dl4"]).unwrap();
         assert!(fast.contains("horn:"), "{fast}");
         assert!(fast.contains("saturated queries"), "{fast}");
         assert!(fast.contains("0 fallbacks"), "{fast}");
-        let slow = fs.run(&["check", "kb.dl4", "--no-horn"]).unwrap();
-        assert!(!slow.contains("horn:"), "{slow}");
-        assert!(slow.contains("satisfiable:  true"), "{slow}");
-        // Routing is invisible in answers: the report bodies agree.
+        // Routing is invisible in answers: the survey reads what the KB
+        // says, inherited memberships included.
+        let surveyed = fs.run(&["report", "kb.dl4"]).unwrap();
         assert_eq!(
-            fs.run(&["report", "kb.dl4"]).unwrap(),
-            fs.run(&["report", "kb.dl4", "--no-horn"]).unwrap()
+            surveyed,
+            "3 facts surveyed: 0 contested, 3 asserted, 0 denied, 0 unknown\ncontamination: 0.0%\n"
         );
+        // A survey whose probes never reach the Horn rung keeps the
+        // historical block, with no horn line.
+        let fs = MemFs::new(&[("kb.dl4", TOLD_ONLY)]);
+        let slow = fs.run(&["report", "kb.dl4", "--stats"]).unwrap();
+        assert!(!slow.contains("horn:"), "{slow}");
+        assert!(slow.contains("⊤  x : A"), "{slow}");
         // The contested medical KB forces non-Horn modules, so routed
         // queries are counted as fallbacks rather than saturations.
         let fs = MemFs::new(&[("kb.dl4", MEDICAL)]);
@@ -1207,20 +1204,18 @@ y : D";
         assert_eq!(plain, scoped);
         let classified = fs.run(&["classify", "kb.dl4", "--module-scoping"]).unwrap();
         assert_eq!(classified, fs.run(&["classify", "kb.dl4"]).unwrap());
-        // … and `check --module-scoping --no-horn` surfaces the module
-        // counters of the scoped tableau (with Horn on, this KB's
-        // satisfiability is settled by saturating the Horn ∅-seed
-        // module), while an unscoped `--no-horn` run never extracts.
-        let checked = fs
-            .run(&["check", "kb.dl4", "--module-scoping", "--no-horn"])
-            .unwrap();
+        // … and `check --module-scoping` surfaces the module counters
+        // of its scoped run (this KB's satisfiability is settled by
+        // saturating the Horn ∅-seed module) …
+        let checked = fs.run(&["check", "kb.dl4", "--module-scoping"]).unwrap();
         assert!(checked.contains("satisfiable:  true"), "{checked}");
         assert!(checked.contains("modules:"), "{checked}");
         assert!(checked.contains("scoped queries"), "{checked}");
-        let fast = fs.run(&["check", "kb.dl4", "--module-scoping"]).unwrap();
-        assert!(fast.contains("satisfiable:  true"), "{fast}");
-        assert!(fast.contains("horn:"), "{fast}");
-        let unscoped = fs.run(&["check", "kb.dl4", "--no-horn"]).unwrap();
+        assert!(checked.contains("horn:"), "{checked}");
+        // … while an unscoped survey whose probes never reach the Horn
+        // rung never extracts.
+        let fs = MemFs::new(&[("kb.dl4", TOLD_ONLY)]);
+        let unscoped = fs.run(&["report", "kb.dl4", "--stats"]).unwrap();
         assert!(!unscoped.contains("modules:"), "{unscoped}");
     }
 
@@ -1303,12 +1298,16 @@ check";
         assert!(out.contains("horn programs"), "{out}");
         assert!(out.contains("session:"), "{out}");
         assert!(out.contains("4 mutations"), "{out}");
-        // The `--no-horn` session still answers identically up front.
-        let slow = fs
-            .run(&["session", "--script", "ops.txt", "--no-horn"])
+        // A session whose queries the told index settles never reaches
+        // the Horn rung, and answers the same.
+        let fs = MemFs::new(&[("told.txt", "add x : A\nadd x : not A\nquery x A")]);
+        let told = fs
+            .run(&["session", "--script", "told.txt", "--stats"])
             .unwrap();
-        assert_eq!(fs.run(&["session", "--script", "ops.txt"]).unwrap(), slow);
-        assert!(!slow.contains("horn:"), "{slow}");
+        assert!(!told.contains("horn:"), "{told}");
+        let lines: Vec<&str> = told.lines().collect();
+        assert!(lines[2].contains('⊤'), "{told}");
+        assert_eq!(lines[3], "axioms: 2");
     }
 
     #[test]
@@ -1349,6 +1348,8 @@ check";
             &["session", "--dir"][..],
             &["session", "--snapshot-every", "many"][..],
             &["session", "--bogus"][..],
+            &["session", "--no-horn"][..],
+            &["session", "--script", "ops.txt", "--stats", "--no-horn"][..],
         ] {
             assert!(matches!(fs.run(bad), Err(CliError::Usage(_))), "{bad:?}");
         }

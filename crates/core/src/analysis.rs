@@ -383,15 +383,9 @@ mod tests {
         for seed in 0..6u64 {
             let kb = ontogen_like_kb(seed);
             let sequential =
-                Reasoner4::with_options(&kb, Config::default(), QueryOptions::baseline());
-            let parallel = Reasoner4::with_options(
-                &kb,
-                Config::default(),
-                QueryOptions {
-                    jobs: 4,
-                    ..QueryOptions::default()
-                },
-            );
+                Reasoner4::with_options(&kb, Config::default(), QueryOptions { jobs: 1 });
+            let parallel =
+                Reasoner4::with_options(&kb, Config::default(), QueryOptions { jobs: 4 });
             let seq_report = contradiction_report(&sequential, &kb).unwrap();
             let par_report = contradiction_report(&parallel, &kb).unwrap();
             // The report is assembled in grid order — not merely

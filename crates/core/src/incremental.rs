@@ -158,9 +158,10 @@ impl Session {
     /// [`SharedModuleCache`]: per-module engines, Horn programs and
     /// query verdict rows are looked up (and published) under the
     /// module's structural key, so identical modules across sessions
-    /// hit one cache entry. The cache's `build_config` must derive from
-    /// the same `config` (guaranteed when both come from one
-    /// [`crate::serve::Registry`]).
+    /// hit one cache entry. Every session on one cache must run the
+    /// same `config`, because a shared engine is built under the config
+    /// of the session that first needs it (one
+    /// [`crate::serve::Registry`] guarantees this).
     pub fn with_shared(
         kb: &KnowledgeBase4,
         config: Config,

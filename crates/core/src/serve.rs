@@ -28,7 +28,9 @@
 //!   (installed via [`tableau::interrupt`]) lets [`Server::cancel_tenant`]
 //!   revoke a hostile tenant's in-flight work without waiting out the
 //!   budget — the search observes the token inside `check_limits` and
-//!   returns [`tableau::ReasonerError::Cancelled`].
+//!   returns [`tableau::ReasonerError::Cancelled`]. That installed entry
+//!   is the one per-request stop path: it also carries the heavy lane's
+//!   budget, below.
 //! * **Cost-aware lanes** — with [`ServeOptions::lanes`] set, admission
 //!   first predicts each request's cost with the static
 //!   [`crate::hardness`] analyzer (scores cached per module in the
@@ -148,16 +150,13 @@ impl SharedCacheStats {
 /// different key (the session's delta machinery already drops the
 /// tenant-side entry), so a stale score is simply never looked up again.
 ///
-/// Engines published here are built with a *neutral* config
-/// (`build_config`): the registry's config with
-/// any per-tenant cancellation token stripped, so raising one tenant's
-/// token can never cancel another tenant's query running on a shared
-/// engine. Per-request cancellation uses the thread-local
-/// [`tableau::interrupt`] tokens instead, which work regardless of
-/// which engine the search runs on.
+/// Engines published here are built under the registry's one config and
+/// carry no per-request state: a request's cancellation token and lane
+/// budget are thread-local [`tableau::interrupt`] entries, which stop
+/// its searches whichever engine they run on and never another
+/// tenant's.
+#[derive(Default)]
 pub struct SharedModuleCache {
-    /// The neutral config shared engines must be built with.
-    pub(crate) build_config: Config,
     pub(crate) engines: ShardedMap<Arc<str>, Arc<QueryEngine>>,
     /// `None` memoizes "this module is not Horn".
     pub(crate) horn: ShardedMap<Arc<str>, Option<Arc<HornProgram>>>,
@@ -166,22 +165,6 @@ pub struct SharedModuleCache {
 }
 
 impl SharedModuleCache {
-    /// A cache whose shared artifacts are built under `config` (with
-    /// module scoping and any cancellation token stripped).
-    pub fn new(config: Config) -> Self {
-        SharedModuleCache {
-            build_config: Config {
-                module_scoping: false,
-                cancel: None,
-                ..config
-            },
-            engines: ShardedMap::new(),
-            horn: ShardedMap::new(),
-            rows: ShardedMap::new(),
-            scores: ShardedMap::new(),
-        }
-    }
-
     /// Counter snapshot across all four maps.
     pub fn stats(&self) -> SharedCacheStats {
         SharedCacheStats {
@@ -222,7 +205,7 @@ impl Registry {
                 .map(|_| RwLock::new(HashMap::new()))
                 .collect(),
             hasher: RandomState::new(),
-            shared: Arc::new(SharedModuleCache::new(config.clone())),
+            shared: Arc::new(SharedModuleCache::default()),
             config,
         }
     }
@@ -494,8 +477,8 @@ struct Job {
     enqueued: Instant,
     /// Which lane admitted the job (stats attribution).
     heavy: bool,
-    /// Lane wall-clock budget; the executing worker arms the deadline
-    /// and the janitor raises the token once it passes.
+    /// Lane wall-clock budget, installed with `token` when the job
+    /// leaves the queue.
     budget: Option<Duration>,
 }
 
@@ -654,9 +637,10 @@ pub struct LaneOptions {
     /// spillover into the cheap lane — that would reintroduce exactly
     /// the head-of-line blocking lanes exist to prevent).
     pub heavy_queue_depth: usize,
-    /// Optional wall-clock budget per heavy request, enforced by a
-    /// janitor thread raising the request's cancellation token at the
-    /// deadline (reported on the wire as the usual `budget` error).
+    /// Optional wall-clock budget per heavy request, counted from when
+    /// a heavy worker picks the request up and installed with its
+    /// cancellation token ([`tableau::interrupt`]), so every search of
+    /// the request stops with the usual `budget` error once it passes.
     /// `None` leaves heavy requests under the registry config's own
     /// `time_budget` alone — required for verdict parity with lanes
     /// off.
@@ -702,12 +686,10 @@ impl Default for ServeOptions {
 // The TCP server
 // ---------------------------------------------------------------------
 
-/// One in-flight request: who it belongs to, how to revoke it, and —
-/// once a lane-budgeted worker picks it up — when the janitor should.
+/// One in-flight request: who it belongs to and how to revoke it.
 struct InflightEntry {
     tenant: String,
     token: Arc<AtomicBool>,
-    deadline: Option<Instant>,
 }
 
 type Inflight = Mutex<HashMap<u64, InflightEntry>>;
@@ -727,7 +709,6 @@ pub struct Server {
     inflight: Arc<Inflight>,
     conns: Arc<AtomicUsize>,
     acceptor: Option<JoinHandle<()>>,
-    janitor: Option<JoinHandle<()>>,
     workers: Vec<JoinHandle<()>>,
 }
 
@@ -767,25 +748,6 @@ impl Server {
         if let (Some(lanes), Some(hq)) = (&opts.lanes, &heavy_queue) {
             workers.extend((0..lanes.heavy_workers.max(1)).map(|_| spawn_worker(hq)));
         }
-
-        // The deadline janitor only exists when a heavy budget can arm
-        // deadlines; it polls in-flight entries and raises the token of
-        // any request past its deadline.
-        let janitor = opts.lanes.as_ref().and_then(|l| l.heavy_budget).map(|_| {
-            let shutdown = Arc::clone(&shutdown);
-            let inflight = Arc::clone(&inflight);
-            std::thread::spawn(move || {
-                while !shutdown.load(Ordering::Relaxed) {
-                    let now = Instant::now();
-                    for entry in lock_mutex(&inflight).values() {
-                        if entry.deadline.is_some_and(|d| d <= now) {
-                            entry.token.store(true, Ordering::Relaxed);
-                        }
-                    }
-                    std::thread::sleep(POLL_INTERVAL);
-                }
-            })
-        });
 
         let acceptor = {
             let shutdown = Arc::clone(&shutdown);
@@ -843,7 +805,6 @@ impl Server {
             inflight,
             conns,
             acceptor: Some(acceptor),
-            janitor,
             workers,
         })
     }
@@ -894,9 +855,6 @@ impl Server {
         if let Some(a) = self.acceptor.take() {
             let _ = a.join();
         }
-        if let Some(j) = self.janitor.take() {
-            let _ = j.join();
-        }
         // Connection readers notice the flag at their next poll; give
         // them a bounded grace period rather than joining detached
         // threads.
@@ -929,31 +887,14 @@ fn worker_loop(queue: &Queue, registry: &Registry, stats: &ServeStats, inflight:
     while let Some(job) = queue.pop() {
         let wait = job.enqueued.elapsed().as_micros() as u64;
         stats.peak_queue_wait_us.fetch_max(wait, Ordering::Relaxed);
-        // The lane budget covers execution, not queue wait: arm the
-        // deadline only now, as the job leaves the queue.
-        let deadline = job.budget.map(|b| Instant::now() + b);
         let reply = if job.token.load(Ordering::Relaxed) {
             // Revoked while still queued: never touch the reasoner.
             Err(ServeError::Reasoning(ReasonerError::Cancelled))
         } else {
-            if let Some(d) = deadline {
-                if let Some(entry) = lock_mutex(inflight).get_mut(&job.id) {
-                    entry.deadline = Some(d);
-                }
-            }
-            let _guard = tableau::interrupt::install(Arc::clone(&job.token));
+            // The lane budget covers execution, not queue wait: it
+            // starts only now, as the job leaves the queue.
+            let _guard = tableau::interrupt::install(Arc::clone(&job.token), job.budget);
             run(registry, &job.tenant, &job.command)
-        };
-        // A janitor revocation surfaces as `Cancelled`; report it as
-        // the budget error the client would see from a per-session
-        // `Config::time_budget` instead.
-        let reply = match (reply, job.budget) {
-            (Err(ServeError::Reasoning(ReasonerError::Cancelled)), Some(budget))
-                if deadline.is_some_and(|d| Instant::now() >= d) =>
-            {
-                Err(ServeError::Reasoning(ReasonerError::TimeBudget(budget)))
-            }
-            (other, _) => other,
         };
         match &reply {
             Ok(_) => {
@@ -1090,7 +1031,6 @@ fn handle_conn(stream: TcpStream, ctx: &ConnCtx) -> std::io::Result<()> {
             InflightEntry {
                 tenant: tenant_id.clone(),
                 token: Arc::clone(&token),
-                deadline: None,
             },
         );
         let job = Job {

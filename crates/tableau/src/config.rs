@@ -1,8 +1,6 @@
 //! Reasoner configuration and resource-limit errors.
 
 use std::fmt;
-use std::sync::atomic::AtomicBool;
-use std::sync::Arc;
 use std::time::Duration;
 
 /// Blocking strategies (an ablation axis — see DESIGN.md §5).
@@ -63,35 +61,17 @@ pub struct Config {
     /// run the tableau on that subset only. Off by default — it is a
     /// four-valued-level optimization, honored by `shoin4::Reasoner4`
     /// (the classical engine itself never reads it); verdict parity
-    /// with the unscoped engine is property-tested in
+    /// with the unscoped tableau over `K̄` is property-tested in
     /// `tests/module_parity.rs`.
     pub module_scoping: bool,
-    /// Consequence-driven Horn fast path: route atomic-goal queries
-    /// whose extracted module has a Horn classical image through a
-    /// datalog-style saturation engine (`shoin4::horn`) instead of the
-    /// tableau. On by default — verdicts are bit-identical (the parity
-    /// contract is `tests/horn_parity.rs`); like `module_scoping` it is
-    /// a four-valued-level switch the classical engine never reads.
-    /// `--no-horn` / setting this `false` forces every query through
-    /// the tableau for A/B runs.
-    pub horn_path: bool,
     /// Wall-clock budget for one search. `None` means unbounded. The
     /// node/rule caps bound *space* and *counted work*, but a diverging
     /// nominal search (NN-rule with inverse roles) grows slowly enough
     /// that those caps are ineffective in practice; the time budget is
-    /// the backstop that guarantees every call returns.
+    /// the backstop that guarantees every call returns. A serving layer
+    /// that shares one engine across requests stops a single request
+    /// early through [`crate::interrupt`] instead.
     pub time_budget: Option<Duration>,
-    /// External cancellation token, polled at every [`check_limits`]
-    /// site alongside the deadline. Setting the flag makes every search
-    /// running under this config return [`ReasonerError::Cancelled`]
-    /// promptly — this is how a serving layer revokes a request without
-    /// waiting out the full time budget. Callers that share one engine
-    /// across requests install a *per-request* token with
-    /// [`crate::interrupt::install`] instead, which is checked at the
-    /// same sites.
-    ///
-    /// [`check_limits`]: crate::rules
-    pub cancel: Option<Arc<AtomicBool>>,
 }
 
 impl Default for Config {
@@ -105,9 +85,7 @@ impl Default for Config {
             absorption: true,
             model_pruning: true,
             module_scoping: false,
-            horn_path: true,
             time_budget: Some(Duration::from_secs(30)),
-            cancel: None,
         }
     }
 }
@@ -122,8 +100,7 @@ pub enum ReasonerError {
     RuleLimit(u64),
     /// The wall-clock budget was exhausted.
     TimeBudget(Duration),
-    /// An external cancellation token ([`Config::cancel`] or a
-    /// thread-local [`crate::interrupt`] token) was raised mid-search.
+    /// A thread-local [`crate::interrupt`] token was raised mid-search.
     Cancelled,
 }
 
@@ -165,10 +142,6 @@ mod tests {
         // Module scoping is opt-in: the default pipeline stays
         // byte-identical to the unscoped engine.
         assert!(!c.module_scoping);
-        // The Horn fast path is on by default — it is verdict-exact
-        // (parity contract in `tests/horn_parity.rs`) and falls back to
-        // the tableau on any non-Horn module.
-        assert!(c.horn_path);
         assert!(c.max_nodes > 0);
     }
 
@@ -184,25 +157,5 @@ mod tests {
             .to_string()
             .contains("time budget"));
         assert!(ReasonerError::Cancelled.to_string().contains("cancelled"));
-    }
-
-    #[test]
-    fn cancel_token_is_shared_not_cloned() {
-        let flag = Arc::new(AtomicBool::new(false));
-        let config = Config {
-            cancel: Some(Arc::clone(&flag)),
-            ..Config::default()
-        };
-        let copy = config.clone();
-        flag.store(true, std::sync::atomic::Ordering::Relaxed);
-        // Cloning the config clones the Arc, not the flag: both views
-        // observe the raise.
-        for c in [&config, &copy] {
-            assert!(c
-                .cancel
-                .as_ref()
-                .expect("token present")
-                .load(std::sync::atomic::Ordering::Relaxed));
-        }
     }
 }

@@ -1,50 +1,79 @@
-//! Thread-local per-request cancellation tokens.
+//! Thread-local per-request stop conditions: a cancellation token and
+//! an optional deadline.
 //!
-//! [`Config::cancel`](crate::Config::cancel) covers the common case of
-//! one token per engine, but a serving layer shares long-lived engines
-//! (and their baked-in configs) across many requests — a per-request
-//! token cannot travel through a cached `QueryEngine`. Searches always
-//! run synchronously on the thread that asked, so the request worker
-//! instead [`install`]s its token here before touching the reasoner;
-//! `check_limits` polls the installed token at the same sites as the
-//! deadline and the config flag, and the returned [`InterruptGuard`]
+//! A serving layer shares long-lived engines (and their baked-in
+//! configs) across many requests, so a per-request stop condition
+//! cannot travel through a cached `QueryEngine`. Searches always run
+//! synchronously on the thread that asked, so the request worker
+//! instead [`install`]s its token here before touching the reasoner,
+//! together with the request's own wall-clock budget when it has one.
+//! `check_limits` polls the installed tokens at the same sites as the
+//! deadline, every `Search` folds the earliest installed deadline into
+//! its own (reporting [`crate::ReasonerError::TimeBudget`] with that
+//! entry's budget when it fires), and the returned [`InterruptGuard`]
 //! uninstalls on drop (panic-safe, nesting-safe).
 //!
 //! Scope: strictly the installing thread. Work fanned out to helper
 //! threads (e.g. `Reasoner4::query_batch` workers) does not inherit the
-//! token — a serving layer must run one request on one worker thread,
+//! entry — a serving layer must run one request on one worker thread,
 //! which is exactly what `shoin4::serve` does.
 
 use std::cell::RefCell;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
-thread_local! {
-    /// Stack of installed tokens; a raise on *any* of them interrupts.
-    static TOKENS: RefCell<Vec<Arc<AtomicBool>>> = const { RefCell::new(Vec::new()) };
+/// One installed stop condition.
+struct Entry {
+    token: Arc<AtomicBool>,
+    /// When the entry's budget runs out, and that budget.
+    deadline: Option<(Instant, Duration)>,
 }
 
-/// Install `token` for the current thread until the guard drops.
+thread_local! {
+    /// Stack of installed entries; a raise on *any* token interrupts,
+    /// and the earliest deadline binds.
+    static ENTRIES: RefCell<Vec<Entry>> = const { RefCell::new(Vec::new()) };
+}
+
+/// Install `token` for the current thread until the guard drops. With a
+/// `budget`, every search started on this thread before the guard drops
+/// also stops once `budget` has passed from now.
 #[must_use = "dropping the guard uninstalls the token"]
-pub fn install(token: Arc<AtomicBool>) -> InterruptGuard {
-    TOKENS.with(|t| t.borrow_mut().push(token));
+pub fn install(token: Arc<AtomicBool>, budget: Option<Duration>) -> InterruptGuard {
+    let deadline = budget.map(|b| (Instant::now() + b, b));
+    ENTRIES.with(|e| e.borrow_mut().push(Entry { token, deadline }));
     InterruptGuard { _priv: () }
 }
 
 /// True when any token installed on this thread has been raised.
 pub fn interrupted() -> bool {
-    TOKENS.with(|t| t.borrow().iter().any(|flag| flag.load(Ordering::Relaxed)))
+    ENTRIES.with(|e| {
+        e.borrow()
+            .iter()
+            .any(|entry| entry.token.load(Ordering::Relaxed))
+    })
 }
 
-/// Uninstalls the matching [`install`]ed token on drop.
+/// The earliest deadline installed on this thread, with its budget.
+pub fn deadline() -> Option<(Instant, Duration)> {
+    ENTRIES.with(|e| {
+        e.borrow()
+            .iter()
+            .filter_map(|entry| entry.deadline)
+            .min_by_key(|(at, _)| *at)
+    })
+}
+
+/// Uninstalls the matching [`install`]ed entry on drop.
 pub struct InterruptGuard {
     _priv: (),
 }
 
 impl Drop for InterruptGuard {
     fn drop(&mut self) {
-        TOKENS.with(|t| {
-            t.borrow_mut().pop();
+        ENTRIES.with(|e| {
+            e.borrow_mut().pop();
         });
     }
 }
@@ -57,7 +86,7 @@ mod tests {
     fn install_raise_and_uninstall() {
         assert!(!interrupted());
         let token = Arc::new(AtomicBool::new(false));
-        let guard = install(Arc::clone(&token));
+        let guard = install(Arc::clone(&token), None);
         assert!(!interrupted());
         token.store(true, Ordering::Relaxed);
         assert!(interrupted());
@@ -69,9 +98,9 @@ mod tests {
     fn nested_tokens_any_raise_interrupts() {
         let outer = Arc::new(AtomicBool::new(false));
         let inner = Arc::new(AtomicBool::new(false));
-        let _outer_guard = install(Arc::clone(&outer));
+        let _outer_guard = install(Arc::clone(&outer), None);
         {
-            let _inner_guard = install(Arc::clone(&inner));
+            let _inner_guard = install(Arc::clone(&inner), None);
             outer.store(true, Ordering::Relaxed);
             assert!(interrupted(), "outer raise visible under nesting");
         }
@@ -81,9 +110,24 @@ mod tests {
     #[test]
     fn tokens_are_thread_local() {
         let token = Arc::new(AtomicBool::new(true));
-        let _guard = install(Arc::clone(&token));
+        let _guard = install(Arc::clone(&token), None);
         assert!(interrupted());
         let other = std::thread::spawn(interrupted).join().expect("no panic");
         assert!(!other, "other threads do not see this thread's token");
+    }
+
+    #[test]
+    fn the_earliest_installed_deadline_binds_until_its_guard_drops() {
+        assert_eq!(deadline(), None);
+        let token = || Arc::new(AtomicBool::new(false));
+        let _outer = install(token(), Some(Duration::from_secs(60)));
+        assert_eq!(deadline().map(|(_, b)| b), Some(Duration::from_secs(60)));
+        {
+            let _inner = install(token(), Some(Duration::from_millis(5)));
+            assert_eq!(deadline().map(|(_, b)| b), Some(Duration::from_millis(5)));
+            let _unbudgeted = install(token(), None);
+            assert_eq!(deadline().map(|(_, b)| b), Some(Duration::from_millis(5)));
+        }
+        assert_eq!(deadline().map(|(_, b)| b), Some(Duration::from_secs(60)));
     }
 }

@@ -46,7 +46,6 @@ pub mod graph;
 pub mod interrupt;
 pub mod model;
 pub mod node;
-mod reasoner;
 pub mod rules;
 pub mod stats;
 pub mod trail;

@@ -32,7 +32,7 @@ use dl::name::{ConceptName, DataRoleName, IndividualName};
 use dl::nnf::nnf;
 use dl::Concept;
 use std::collections::{BTreeMap, BTreeSet};
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// Preprocessed, immutable reasoning context shared by all branches.
 #[derive(Debug, Clone)]
@@ -93,8 +93,10 @@ pub struct Search<'a> {
     /// Counters for the whole call (all branches).
     pub stats: Stats,
     nn_counter: u32,
-    /// Wall-clock deadline derived from [`Config::time_budget`].
-    deadline: Option<Instant>,
+    /// Wall-clock deadline and the budget it enforces: the earlier of
+    /// [`Config::time_budget`] and a budget [`crate::interrupt`]ed onto
+    /// this thread.
+    deadline: Option<(Instant, Duration)>,
 }
 
 impl<'a> Search<'a> {
@@ -104,7 +106,13 @@ impl<'a> Search<'a> {
             ctx,
             stats: Stats::default(),
             nn_counter: 0,
-            deadline: ctx.config.time_budget.map(|d| Instant::now() + d),
+            deadline: ctx
+                .config
+                .time_budget
+                .map(|d| (Instant::now() + d, d))
+                .into_iter()
+                .chain(crate::interrupt::deadline())
+                .min_by_key(|(at, _)| *at),
         }
     }
 
@@ -322,19 +330,12 @@ impl<'a> Search<'a> {
                 self.ctx.config.max_rule_applications,
             ));
         }
-        if let Some(deadline) = self.deadline {
-            if Instant::now() > deadline {
-                let budget = self.ctx.config.time_budget.unwrap_or_default();
+        if let Some((at, budget)) = self.deadline {
+            if Instant::now() > at {
                 return Err(ReasonerError::TimeBudget(budget));
             }
         }
-        let config_cancel = self
-            .ctx
-            .config
-            .cancel
-            .as_ref()
-            .is_some_and(|flag| flag.load(std::sync::atomic::Ordering::Relaxed));
-        if config_cancel || crate::interrupt::interrupted() {
+        if crate::interrupt::interrupted() {
             self.stats.cancelled += 1;
             return Err(ReasonerError::Cancelled);
         }

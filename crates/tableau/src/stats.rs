@@ -79,8 +79,8 @@ pub struct Stats {
     /// Told-index rows (memoized membership closures / subsumer sets /
     /// seed lists) dropped by incremental maintenance.
     pub invalidated_told_rows: u64,
-    /// Searches aborted by an external cancellation token
-    /// ([`crate::Config::cancel`] or [`crate::interrupt`]).
+    /// Searches aborted by a raised [`crate::interrupt`] token (a
+    /// deadline installed there counts as a time-budget error instead).
     pub cancelled: u64,
     /// Per-module engines/Horn programs adopted from a cross-tenant
     /// shared cache instead of being built locally (serving layer).

@@ -63,19 +63,15 @@ fn main() {
         assert_eq!(dirty > 0, truth.contaminated.contains(&i));
     }
 
-    // Module-scoped querying: each query runs the tableau on its
-    // extracted module only.
+    // Module-scoped querying: each query the told index does not settle
+    // runs on its extracted module only.
     let scoped = Reasoner4::with_options(
         &kb,
         Config {
             module_scoping: true,
             ..Config::default()
         },
-        QueryOptions {
-            jobs: 1,
-            told_fast_path: false,
-            ..QueryOptions::default()
-        },
+        QueryOptions { jobs: 1 },
     );
     let plain = Reasoner4::new(&kb);
 

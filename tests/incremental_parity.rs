@@ -5,8 +5,9 @@
 //! localized churn workloads the subsystem is optimized for — every
 //! four-valued verdict and satisfiability answer out of a long-lived
 //! [`Session`] must be bit-identical to an independent [`Oracle`]: the
-//! plain tableau over the induced classical KB `transform_kb(K)`,
-//! rebuilt from scratch over the session's current KB. The oracle shares
+//! shared Corollary 7 oracle of `tests/common`, one plain tableau over
+//! the induced classical KB `transform_kb(K)`, rebuilt from scratch over
+//! the session's current KB. The oracle shares
 //! none of the session's pipeline (told index, entailment cache, module
 //! extraction, Horn rung), so if an invalidation pass ever keeps a stale
 //! module, Horn program, entailment row or told row alive, some
@@ -23,17 +24,16 @@
 //! tableau is skipped — hardness is a KB property, not a caching
 //! property.
 
-use dl::name::IndividualName;
-use dl::Concept;
-use fourval::TruthValue;
+mod common;
+
+use common::{signature_grid, Oracle};
 use ontogen::churn::{churn_workload, ChurnOp, ChurnParams};
 use ontogen::modular::ModularParams;
 use ontogen::random::{random_kb4, RandomParams};
 use proptest::prelude::*;
-use shoin4::{transform_concept, transform_kb, transform_neg_concept};
 use shoin4::{Axiom4, KnowledgeBase4, Session};
 use std::time::Duration;
-use tableau::{Config, QueryEngine, ReasonerError};
+use tableau::Config;
 
 fn small_params(seed: u64) -> RandomParams {
     RandomParams {
@@ -59,51 +59,12 @@ fn config() -> Config {
     }
 }
 
-/// Corollary 7 straight over one unscoped tableau: `a : C` has
-/// information for it iff `K̄ ⊨ a : C̄` and against it iff
-/// `K̄ ⊨ a : ¬C̄` (the transformed negation); `K` is satisfiable iff `K̄`
-/// is (Theorem 6).
-struct Oracle {
-    engine: QueryEngine,
-}
-
-impl Oracle {
-    fn new(kb: &KnowledgeBase4) -> Oracle {
-        Oracle {
-            engine: QueryEngine::with_config(&transform_kb(kb), config()),
-        }
-    }
-
-    fn query(&self, a: &IndividualName, c: &Concept) -> Result<TruthValue, ReasonerError> {
-        Ok(TruthValue::from_bits(
-            self.engine.is_instance_of(a, &transform_concept(c))?,
-            self.engine.is_instance_of(a, &transform_neg_concept(c))?,
-        ))
-    }
-
-    fn is_satisfiable(&self) -> Result<bool, ReasonerError> {
-        self.engine.is_consistent()
-    }
-}
-
-/// Every individual × atomic-concept pair of the KB's signature.
-fn signature_grid(kb: &KnowledgeBase4) -> Vec<(IndividualName, Concept)> {
-    let sig = kb.signature();
-    let mut grid = Vec::new();
-    for a in &sig.individuals {
-        for c in &sig.concepts {
-            grid.push((a.clone(), Concept::atomic(c.clone())));
-        }
-    }
-    grid
-}
-
 /// Compare the long-lived session against the oracle over its current
 /// KB. Returns `false` if the time budget was exhausted (the caller
 /// skips the seed).
 fn session_agrees(session: &Session, seed: u64) -> Result<bool, TestCaseError> {
     let kb = session.kb();
-    let reference = Oracle::new(&kb);
+    let reference = Oracle::new(&kb, config());
     let (s_sat, r_sat) = match (session.is_satisfiable(), reference.is_satisfiable()) {
         (Ok(s), Ok(r)) => (s, r),
         _ => return Ok(false),
@@ -204,7 +165,7 @@ proptest! {
             hot_island: 0,
         });
         let mut session = Session::new(&kb, config());
-        let mut reference: Option<Oracle> = Some(Oracle::new(&kb));
+        let mut reference: Option<Oracle> = Some(Oracle::new(&kb, config()));
         for op in &ops {
             match op {
                 ChurnOp::Add(ax) => {
@@ -216,7 +177,7 @@ proptest! {
                     reference = None;
                 }
                 ChurnOp::Query(a, c) => {
-                    let r = reference.get_or_insert_with(|| Oracle::new(&session.kb()));
+                    let r = reference.get_or_insert_with(|| Oracle::new(&session.kb(), config()));
                     let (sv, rv) = match (session.query(a, c), r.query(a, c)) {
                         (Ok(s), Ok(r)) => (s, r),
                         _ => return Ok(()),
@@ -451,7 +412,7 @@ fn untouched_wal_replays_the_full_history_bit_identically() {
     assert_eq!(reopened.kb(), want);
     // And the reopened session still *reasons* identically to the
     // oracle — replay restores the reasoner, not just the axiom list.
-    let reference = Oracle::new(&want);
+    let reference = Oracle::new(&want, config());
     for (a, c) in signature_grid(&want).into_iter().take(12) {
         assert_eq!(
             reopened.query(&a, &c).unwrap(),

@@ -3,21 +3,25 @@
 //! *invisible* in answers. Across random, planted-contradiction and
 //! modular corpora (≥ 256 generated KBs in total) every four-valued
 //! verdict, role verdict, entailment and satisfiability answer must be
-//! bit-identical to the unscoped engine; on small KBs the scoped
-//! engine's positive claims are additionally confirmed by the
-//! `fourmodels` enumeration oracle. The extraction itself is pinned to
+//! bit-identical to the Corollary 7 oracle of `tests/common`, one
+//! unscoped tableau over `K̄`; on small KBs the scoped engine's positive
+//! claims are additionally confirmed by the `fourmodels` enumeration
+//! oracle. The extraction itself is pinned to
 //! its algebraic law: modules are monotone in the query seed, so the
 //! full-signature module bounds every query module.
 //!
-//! Both engines run with `QueryOptions::baseline()` (no told fast path,
-//! no entailment cache, no threads) so every single query actually
-//! exercises the scoped tableau rather than a shortcut. With those
-//! crutches off, a rare random seed is pathologically hard for the
-//! classical tableau; the engines carry a short wall-clock budget and a
-//! case whose queries exhaust it is skipped — tableau hardness is a
-//! property of the KB, not of scoping, and is fuzzed elsewhere.
+//! The scoped reasoner runs the default ladder with module scoping on:
+//! every probe extracts its module, and the probes the told index, the
+//! entailment cache and the Horn rung leave (role probes, non-Horn
+//! modules) run the tableau on that module. A rare random seed is
+//! pathologically hard for the classical tableau; both sides carry a
+//! short wall-clock budget and a case whose queries exhaust it is
+//! skipped — tableau hardness is a property of the KB, not of scoping,
+//! and is fuzzed elsewhere.
 
-use dl::name::IndividualName;
+mod common;
+
+use common::{signature_grid, Oracle};
 use dl::Concept;
 use fourmodels::check::{entailed_negative_info, entailed_positive_info};
 use fourmodels::enumerate::EnumConfig;
@@ -26,7 +30,6 @@ use ontogen::modular::{modular_kb4, ModularParams};
 use ontogen::random::{random_kb4, RandomParams};
 use proptest::prelude::*;
 use shoin4::dataflow::{concept_seed, full_signature_seed, ModuleExtractor, SigAtom};
-use shoin4::reasoner4::QueryOptions;
 use shoin4::{Axiom4, InclusionKind, KnowledgeBase4, Reasoner4};
 use std::collections::BTreeSet;
 use std::time::Duration;
@@ -60,50 +63,41 @@ fn planted_params(seed: u64) -> LintSeedParams {
     }
 }
 
-fn engine(kb: &KnowledgeBase4, module_scoping: bool) -> Reasoner4 {
-    let config = Config {
+/// A short wall-clock budget: a rare random seed is pathologically
+/// hard for the classical tableau. That is a hardness fact about the
+/// KB, not a scoping property, so such cases are *skipped* rather than
+/// allowed to dominate the suite's runtime.
+fn config() -> Config {
+    Config {
         model_pruning: false,
-        module_scoping,
-        // This suite pins *scoping* against the plain tableau; with the
-        // Horn fast path on (the default) many queries would never reach
-        // the scoped search at all. Horn-vs-tableau parity has its own
-        // differential suite in `tests/horn_parity.rs`.
-        horn_path: false,
-        // A short wall-clock budget: with the baseline options (no
-        // pruning, no told path) a rare random seed is pathologically
-        // hard for the classical tableau. That is a pre-existing
-        // hardness fact about the KB, not a scoping property, so such
-        // cases are *skipped* (both engines give up identically) rather
-        // than allowed to dominate the suite's runtime.
         time_budget: Some(Duration::from_millis(300)),
         ..Config::default()
-    };
-    Reasoner4::with_options(kb, config, QueryOptions::baseline())
+    }
 }
 
-/// Every individual × atomic-concept pair of the KB's signature.
-fn signature_grid(kb: &KnowledgeBase4) -> Vec<(IndividualName, Concept)> {
-    let sig = kb.signature();
-    let mut grid = Vec::new();
-    for a in &sig.individuals {
-        for c in &sig.concepts {
-            grid.push((a.clone(), Concept::atomic(c.clone())));
-        }
-    }
-    grid
+fn scoped(kb: &KnowledgeBase4) -> Reasoner4 {
+    let config = Config {
+        module_scoping: true,
+        ..config()
+    };
+    Reasoner4::with_config(kb, config)
+}
+
+fn oracle(kb: &KnowledgeBase4) -> Oracle {
+    Oracle::new(kb, config())
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     /// Instance queries, role queries and satisfiability on random KBs:
-    /// scoped answers are bit-identical to unscoped answers, and the
-    /// scoped run really scopes (the counters move).
+    /// scoped answers are bit-identical to the oracle's, and the scoped
+    /// run really scopes (the counters move).
     #[test]
     fn random_kbs_verdicts_are_bit_identical(seed in 0..4096u64) {
         let kb = random_kb4(&random_params(seed), (0.3, 0.4, 0.3));
-        let plain = engine(&kb, false);
-        let scoped = engine(&kb, true);
+        let plain = oracle(&kb);
+        let scoped = scoped(&kb);
         let (p_sat, s_sat) = match (plain.is_satisfiable(), scoped.is_satisfiable()) {
             (Ok(p), Ok(s)) => (p, s),
             // Time budget exhausted: skip the pathological seed.
@@ -134,7 +128,6 @@ proptest! {
         }
         let stats = scoped.stats();
         prop_assert!(stats.scoped_queries > 0, "scoping never engaged (seed {})", seed);
-        prop_assert_eq!(plain.stats().scoped_queries, 0);
     }
 }
 
@@ -146,8 +139,8 @@ proptest! {
     #[test]
     fn planted_kbs_verdicts_are_bit_identical(seed in 0..4096u64) {
         let (kb, truth) = lint_seeded_kb4(&planted_params(seed));
-        let plain = engine(&kb, false);
-        let scoped = engine(&kb, true);
+        let plain = oracle(&kb);
+        let scoped = scoped(&kb);
         // The planted contested facts first (they must come out ⊤), then
         // a slice of the full grid for the clean names.
         for (a, c) in &truth.contested_concepts {
@@ -179,8 +172,8 @@ proptest! {
     #[test]
     fn inclusion_entailment_is_preserved(seed in 0..4096u64) {
         let kb = random_kb4(&random_params(seed), (0.3, 0.4, 0.3));
-        let plain = engine(&kb, false);
-        let scoped = engine(&kb, true);
+        let plain = oracle(&kb);
+        let scoped = scoped(&kb);
         let concepts: Vec<Concept> = kb
             .signature()
             .concepts
@@ -258,8 +251,8 @@ fn modular_corpus_scoped_queries_stay_on_their_island() {
         };
         let (kb, truth) = modular_kb4(&p);
         let extractor = ModuleExtractor::new(&kb);
-        let plain = engine(&kb, false);
-        let scoped = engine(&kb, true);
+        let plain = oracle(&kb);
+        let scoped = scoped(&kb);
         for &island in &truth.clean() {
             let island_axioms: BTreeSet<usize> = truth.islands[island].iter().copied().collect();
             for name in truth.island_concepts[island].iter().take(3) {
@@ -311,7 +304,7 @@ fn scoped_claims_are_confirmed_by_the_enumeration_oracle() {
             seed,
         };
         let kb = random_kb4(&params, (0.4, 0.4, 0.2));
-        let scoped = engine(&kb, true);
+        let scoped = scoped(&kb);
         let cfg = EnumConfig::for_kb(&kb);
         for (a, c) in signature_grid(&kb) {
             if scoped.has_positive_info(&a, &c).unwrap() {

@@ -4,15 +4,14 @@
 //! back must be bit-identical to a direct [`Reasoner4`] built from the
 //! same KB under the same [`Config`], across all three §3.1 inclusion
 //! kinds. The server side runs the full production pipeline (per-tenant
-//! [`shoin4::Session`]s, told fast path, Horn saturation, module
-//! scoping, cross-tenant shared caches, admission queue), the reference
-//! side runs a direct in-process [`Reasoner4`] with none of the serving
+//! [`shoin4::Session`]s, told index, Horn saturation, module scoping,
+//! cross-tenant shared caches, admission queue), the reference side
+//! runs a direct in-process [`Reasoner4`] with none of the serving
 //! machinery; agreement over ≥ 100 generated tenants is the evidence
-//! that no serving shortcut changes an answer. (The reference keeps the
-//! default [`QueryOptions`] — the slower `QueryOptions::baseline`
-//! oracle already guards those layers in
-//! `tests/{batch,module,horn,incremental}_parity.rs`; here the subject
-//! is the wire + registry + shared-cache path on top.)
+//! that no serving shortcut changes an answer. (The reference runs the
+//! default ladder — the Corollary 7 oracle of `tests/common` already
+//! guards its rungs in `tests/{batch,module,horn,incremental}_parity.rs`;
+//! here the subject is the wire + registry + shared-cache path on top.)
 //!
 //! Also here: the protocol smoke test CI drives by name
 //! (`serve_protocol_smoke`) and the admission-control test (a saturated
@@ -23,7 +22,6 @@ use jsonio::Value;
 use ontogen::random::{random_kb4, RandomParams};
 use ontogen::tenant::{tenant_fleet, TenantFleetParams};
 use shoin4::printer4::print_axiom4;
-use shoin4::reasoner4::QueryOptions;
 use shoin4::serve::{hostile_kb, Registry, ServeOptions, Server};
 use shoin4::{Axiom4, InclusionKind, KnowledgeBase4, Reasoner4};
 use std::io::{BufRead, BufReader, Write};
@@ -138,7 +136,7 @@ fn check_tenant(client: &mut Client, id: &str, kb: &KnowledgeBase4) -> usize {
         Some(false),
         "tenant {id} should have been pre-registered"
     );
-    let reference = Reasoner4::with_options(kb, config(), QueryOptions::default());
+    let reference = Reasoner4::with_config(kb, config());
     let mut compared = 0;
 
     let reply = client.ask("check");
