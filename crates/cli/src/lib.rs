@@ -280,8 +280,9 @@ fn write_stats_block(out: &mut String, stats: &tableau::Stats) {
     if stats.mutations > 0 {
         writeln!(
             out,
-            "session:      {} mutations invalidated {} modules, {} entailments, {} told rows",
+            "session:      {} mutations tested {} modules, invalidated {} modules, {} entailments, {} told rows",
             stats.mutations,
+            stats.invalidation_tests,
             stats.invalidated_modules,
             stats.invalidated_entailments,
             stats.invalidated_told_rows
@@ -292,11 +293,12 @@ fn write_stats_block(out: &mut String, stats: &tableau::Stats) {
 
 /// The `modules` subcommand: the signature-dataflow view of a KB —
 /// dependency components, dead axioms, the clean/contaminated partition
-/// seeded from the linter's contradiction findings, and the size of the
-/// module each signature concept's queries actually run on.
+/// seeded from the linter's contradiction findings, and, per signature
+/// concept, the larger of the two modules a query about it runs on (one
+/// per classical probe, `π(C)` and `π(¬C)`).
 fn modules_report(kb: &shoin4::KnowledgeBase4, json: bool) -> String {
     use ontolint::dataflow::{contradiction_seeds, propagate, ModuleExtractor};
-    use shoin4::dataflow::{concept_seed, full_signature_seed};
+    use shoin4::dataflow::{full_signature_seed, probe_seeds};
 
     let extractor = ModuleExtractor::new(kb);
     let graph = extractor.graph();
@@ -309,8 +311,12 @@ fn modules_report(kb: &shoin4::KnowledgeBase4, json: bool) -> String {
         ontolint::dataflow::signature::signature_concepts(kb)
             .into_iter()
             .map(|name| {
-                let m = extractor.extract(&concept_seed(&dl::Concept::Atomic(name.clone())));
-                (name, m.axioms.len())
+                let size = probe_seeds(&dl::Concept::Atomic(name.clone()))
+                    .iter()
+                    .map(|seed| extractor.extract(seed).axioms.len())
+                    .max()
+                    .unwrap_or(0);
+                (name, size)
             })
             .collect();
 
@@ -1166,7 +1172,18 @@ y : D";
         let fs = MemFs::new(&[("kb.dl4", "A SubClassOf B\nx : A")]);
         let out = fs.run(&["modules", "kb.dl4"]).unwrap();
         assert!(out.contains("contamination: none detected"), "{out}");
+        // C's probes run on 3 and 1 axioms; one seed of both
+        // polarities would extract all 4.
+        let fs = MemFs::new(&[("kb.dl4", PROBE_MODULES)]);
+        let out = fs.run(&["modules", "kb.dl4"]).unwrap();
+        assert!(out.contains("\n  C  3\n"), "{out}");
     }
+
+    /// `π(C)` pulls in the chain into `C`, `π(¬C)` only `y : not C`.
+    const PROBE_MODULES: &str = "A SubClassOf B
+B SubClassOf C
+x : A
+y : not C";
 
     #[test]
     fn modules_emits_machine_readable_json() {
@@ -1184,6 +1201,20 @@ y : D";
         assert_eq!(modules.len(), 4);
         assert_eq!(modules[0].get("concept").unwrap().as_str(), Some("A"));
         assert!(modules[0].get("module_size").unwrap().as_i64().unwrap() >= 1);
+        let fs = MemFs::new(&[("kb.dl4", PROBE_MODULES)]);
+        let out = fs.run(&["modules", "kb.dl4", "--format", "json"]).unwrap();
+        let v = jsonio::Value::parse(&out).unwrap();
+        let modules = v.get("modules").unwrap().as_array().unwrap();
+        let size = |concept: &str| {
+            let m = modules
+                .iter()
+                .find(|m| m.get("concept").unwrap().as_str() == Some(concept));
+            m.unwrap().get("module_size").unwrap().as_i64()
+        };
+        assert_eq!(
+            [size("A"), size("B"), size("C")],
+            [Some(1), Some(2), Some(3)]
+        );
     }
 
     #[test]
@@ -1298,6 +1329,9 @@ check";
         assert!(out.contains("horn programs"), "{out}");
         assert!(out.contains("session:"), "{out}");
         assert!(out.contains("4 mutations"), "{out}");
+        // One module is cached when `meredith : not Person` is added,
+        // and none sits under that slot's atoms at the retract.
+        assert!(out.contains("tested 1 modules"), "{out}");
         // A session whose queries the told index settles never reaches
         // the Horn rung, and answers the same.
         let fs = MemFs::new(&[("told.txt", "add x : A\nadd x : not A\nquery x A")]);

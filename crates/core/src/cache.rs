@@ -15,6 +15,7 @@
 //!   [`std::sync::PoisonError`] instead of propagating the poison as a
 //!   process-wide panic cascade.
 
+use std::borrow::Borrow;
 use std::collections::HashMap;
 use std::hash::{BuildHasher, Hash, RandomState};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -70,13 +71,20 @@ impl<K: Eq + Hash, V: Clone> ShardedMap<K, V> {
         }
     }
 
-    fn shard(&self, key: &K) -> &RwLock<HashMap<K, V>> {
+    /// The shard owning `key`. A borrowed form hashes as the key does
+    /// (the [`Borrow`] contract), so both find the same shard.
+    fn shard<Q: Hash + ?Sized>(&self, key: &Q) -> &RwLock<HashMap<K, V>> {
         let h = self.hasher.hash_one(key);
         &self.shards[(h as usize) % self.shards.len()]
     }
 
-    /// Look up `key`, counting the outcome as a hit or a miss.
-    pub fn get(&self, key: &K) -> Option<V> {
+    /// Look up `key` (or a borrowed form of it), counting the outcome
+    /// as a hit or a miss.
+    pub fn get<Q>(&self, key: &Q) -> Option<V>
+    where
+        K: Borrow<Q>,
+        Q: Hash + Eq + ?Sized,
+    {
         let found = read_lock(self.shard(key)).get(key).cloned();
         match found {
             Some(v) => {
@@ -93,6 +101,15 @@ impl<K: Eq + Hash, V: Clone> ShardedMap<K, V> {
     /// Insert or overwrite `key`.
     pub fn insert(&self, key: K, value: V) {
         write_lock(self.shard(&key)).insert(key, value);
+    }
+
+    /// Remove `key`; returns whether it was present.
+    pub fn remove<Q>(&self, key: &Q) -> bool
+    where
+        K: Borrow<Q>,
+        Q: Hash + Eq + ?Sized,
+    {
+        write_lock(self.shard(key)).remove(key).is_some()
     }
 
     /// Drop every entry for which `keep` returns false; returns the
@@ -127,6 +144,18 @@ impl<K: Eq + Hash, V: Clone> ShardedMap<K, V> {
     pub fn misses(&self) -> u64 {
         self.misses.load(Ordering::Relaxed)
     }
+
+    /// Every key, in no particular order.
+    #[cfg(test)]
+    pub(crate) fn keys(&self) -> Vec<K>
+    where
+        K: Clone,
+    {
+        self.shards
+            .iter()
+            .flat_map(|s| read_lock(s).keys().cloned().collect::<Vec<_>>())
+            .collect()
+    }
 }
 
 impl<K: Eq + Hash, V: Clone> Default for ShardedMap<K, V> {
@@ -149,6 +178,9 @@ mod tests {
         assert_eq!(m.hits(), 1);
         assert_eq!(m.misses(), 1);
         assert_eq!(m.len(), 1);
+        assert!(m.remove(&1));
+        assert!(!m.remove(&1));
+        assert!(m.is_empty());
     }
 
     #[test]

@@ -235,11 +235,21 @@ pub fn classical_axiom_atoms(ax: &Axiom, out: &mut BTreeSet<SigAtom>) {
 /// transformation polarities (`π(C)` and `π(¬C)` — a four-valued query
 /// always asks both).
 pub fn concept_seed(c: &Concept) -> BTreeSet<SigAtom> {
+    let [mut pos, neg] = probe_seeds(c);
+    pos.extend(neg);
+    pos
+}
+
+/// The seeds of the two classical probes a four-valued query about `C`
+/// runs (Corollary 7): the atoms of `π(C)` and of `π(¬C)`. Each probe
+/// is answered on the module of its own seed.
+pub fn probe_seeds(c: &Concept) -> [BTreeSet<SigAtom>; 2] {
     let mut tr = Transformer::new();
-    let mut out = BTreeSet::new();
-    classical_concept_atoms(&tr.concept(c), &mut out);
-    classical_concept_atoms(&tr.neg_concept(c), &mut out);
-    out
+    [tr.concept(c), tr.neg_concept(c)].map(|tc| {
+        let mut out = BTreeSet::new();
+        classical_concept_atoms(&tc, &mut out);
+        out
+    })
 }
 
 /// How an axiom couples its atoms — the edge label of the dependency
@@ -558,6 +568,38 @@ impl ModuleExtractor {
     pub fn is_live(&self, i: usize) -> bool {
         !self.images[i].is_empty()
     }
+
+    /// Is live slot `i` outside `⊤`-locality w.r.t. `∅`, hence (by
+    /// anti-monotonicity) non-local w.r.t. every signature and a member
+    /// of every module?
+    pub fn is_never_local(&self, i: usize) -> bool {
+        self.never_local.contains(&i)
+    }
+
+    /// Drop the tombstoned slots and renumber the live ones, keeping
+    /// their order: `remap[i]` is live slot `i`'s new id and
+    /// `usize::MAX` marks a tombstone. Afterwards every extraction
+    /// returns what it returned before, renumbered.
+    pub fn compact(&mut self, remap: &[usize]) {
+        fn keep_live<T>(rows: &mut Vec<T>, remap: &[usize]) {
+            let mut i = 0;
+            rows.retain(|_| {
+                i += 1;
+                remap[i - 1] != usize::MAX
+            });
+        }
+        keep_live(&mut self.images, remap);
+        keep_live(&mut self.graph.atoms, remap);
+        keep_live(&mut self.graph.kinds, remap);
+        // A tombstone is unlinked from every users list, so each entry
+        // names a live slot; the map is monotone, so lists stay sorted.
+        for users in self.graph.by_atom.values_mut() {
+            for user in users.iter_mut() {
+                *user = remap[*user];
+            }
+        }
+        self.never_local = self.never_local.iter().map(|&i| remap[i]).collect();
+    }
 }
 
 /// Every atom the KB's own (unsplit) signature can seed: both halves of
@@ -658,7 +700,7 @@ pub fn axiom_local(ax: &Axiom, sigma: &BTreeSet<SigAtom>) -> bool {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::parse_kb4;
     use proptest::prelude::*;
@@ -926,7 +968,7 @@ mod tests {
     }
 
     /// A generated concept over `A0..A3`, `r0`, `r1` and `i0..i3`.
-    fn concept_text(k: usize, x: usize, y: usize) -> String {
+    pub(crate) fn concept_text(k: usize, x: usize, y: usize) -> String {
         match k {
             0..=3 => format!("A{k}"),
             4 => format!("(not A{x})"),
@@ -958,7 +1000,7 @@ mod tests {
         }
     }
 
-    fn line_strategy() -> impl Strategy<Value = String> {
+    pub(crate) fn line_strategy() -> impl Strategy<Value = String> {
         (
             0usize..13,
             0usize..4,

@@ -15,10 +15,14 @@
 //!
 //! The session's caches are all keyed by the extracted `⊤`-locality
 //! module of the query seed (a `BTreeSet` of axiom slot ids). Slots are
-//! *tombstoned*, never compacted: a retracted axiom keeps its slot id
-//! with empty classical images, which makes it vacuously `⊤`-local —
-//! it can never again enter a module, and every surviving module key
-//! stays valid.
+//! *tombstoned*: a retracted axiom keeps its slot id with empty
+//! classical images, which makes it vacuously `⊤`-local — it can never
+//! again enter a module, and every surviving module key stays valid.
+//! Once tombstones outnumber both the live slots and a small floor, the
+//! session compacts: it renumbers the live slots in order and re-keys
+//! every cached module to match, so each keeps its engine, Horn program
+//! and entailment keys, and the store never exceeds twice the live
+//! slots plus the floor.
 //!
 //! * **Add** of axiom `δ`: a cached module `(M, Σ)` is dirty iff some
 //!   classical image of `δ` fails `⊤`-locality w.r.t. `Σ`
@@ -40,8 +44,15 @@
 //!   that never admitted `i` ran its whole fixpoint without `i`
 //!   influencing any admission, so removing `i` re-runs identically.
 //!
-//! Entailment-cache entries are tagged with the module key that
-//! answered them and die with it. Told-index rows are maintained by
+//! Neither test scans the cache. Locality reads `Σ` only through the
+//! added slot's own atoms, so only the modules whose `Σ` shares one of
+//! them can fail it, and the pipeline indexes its modules by `Σ`-atom;
+//! a never-local slot dirties every module. A member's atoms lie in
+//! `sig(M) ⊆ Σ(M)`, so the modules holding a retracted slot are all
+//! indexed under any one of its atoms.
+//!
+//! Each entailment-cache entry is recorded by the module that answered
+//! it and leaves the cache with that module. Told-index rows are maintained by
 //! [`crate::told::ToldIndex::note_added`] and
 //! [`crate::told::ToldIndex::note_retracted`] (an equality merge
 //! rebuilds the index — the class partition itself moved).
@@ -63,7 +74,7 @@ use crate::command::Command;
 use crate::inclusion::InclusionKind;
 use crate::kb4::{Axiom4, KnowledgeBase4};
 use crate::pipeline::{Delta, Pipeline};
-use crate::printer4::print_axiom4;
+use crate::printer4::write_axiom4;
 use crate::serve::SharedModuleCache;
 use dl::name::{DataRoleName, IndividualName, RoleName};
 use dl::snapshot::{self as wire, SnapshotError};
@@ -83,6 +94,9 @@ pub const SNAPSHOT_FILE: &str = "session.snap";
 const WAL_HEADER: &str = "# shoin4 session wal v1";
 /// Default mutations-per-snapshot compaction period for [`Session::open`].
 pub const DEFAULT_SNAPSHOT_EVERY: usize = 256;
+/// Tombstones a session always tolerates: below this many, an
+/// in-memory compaction would cost more than the slots it frees.
+const COMPACT_FLOOR: usize = 64;
 
 /// Failures of the durable session machinery. Reasoning failures keep
 /// their own type ([`ReasonerError`]); this covers storage and replay.
@@ -138,7 +152,7 @@ impl From<SnapshotError> for SessionError {
 /// module docs.
 pub struct Session {
     /// Tombstoned axiom store: `None` slots are retracted. Slot ids are
-    /// stable for the life of the session (module keys index into this).
+    /// stable between compactions (module keys index into this).
     slots: Vec<Option<Axiom4>>,
     live: usize,
     pipeline: Pipeline,
@@ -299,8 +313,7 @@ impl Session {
         if let Some(wal) = &mut self.wal {
             wal.append("retract", ax)?;
         }
-        let retracted = self.apply_retract_slot(id, ax.clone());
-        debug_assert!(retracted);
+        self.apply_retract_slot(id);
         self.maybe_snapshot()?;
         Ok(true)
     }
@@ -310,30 +323,40 @@ impl Session {
     }
 
     fn apply_add(&mut self, ax: Axiom4) {
-        let id = self.pipeline.extractor.push_axiom(&ax);
-        debug_assert_eq!(id, self.slots.len());
-        self.slots.push(Some(ax.clone()));
+        let id = self.slots.len();
+        self.slots.push(Some(ax));
         self.live += 1;
-        self.pipeline.invalidate(Delta::Add(id), &ax, &self.slots);
+        let ax = self.slots[id].as_ref().expect("the slot was just pushed");
+        self.pipeline.apply(Delta::Add(id), ax, &self.slots);
         self.mutations_since_snapshot += 1;
     }
 
     fn apply_retract(&mut self, ax: &Axiom4) -> Option<usize> {
         let id = self.find_live(ax)?;
-        self.apply_retract_slot(id, ax.clone());
+        self.apply_retract_slot(id);
         Some(id)
     }
 
-    fn apply_retract_slot(&mut self, id: usize, ax: Axiom4) -> bool {
-        if self.slots[id].take().is_none() {
-            return false;
-        }
+    /// Tombstone live slot `id`, then compact once tombstones outnumber
+    /// both the live slots and [`COMPACT_FLOOR`], so the store never
+    /// holds more than `2 × live + COMPACT_FLOOR` slots.
+    fn apply_retract_slot(&mut self, id: usize) {
+        let ax = self.slots[id].take().expect("retracts name live slots");
         self.live -= 1;
-        self.pipeline.extractor.remove_axiom(id);
-        self.pipeline
-            .invalidate(Delta::Retract(id), &ax, &self.slots);
+        self.pipeline.apply(Delta::Retract(id), &ax, &self.slots);
         self.mutations_since_snapshot += 1;
-        true
+        if self.slots.len() - self.live > self.live.max(COMPACT_FLOOR) {
+            self.compact();
+        }
+    }
+
+    /// Drop every tombstone and renumber the live slots in order; the
+    /// pipeline renumbers what it holds to match (see
+    /// [`Pipeline::compact`]). Neither the WAL nor the snapshot names a
+    /// slot id, so durable state is untouched.
+    fn compact(&mut self) {
+        self.pipeline.compact(&self.slots);
+        self.slots.retain(Option::is_some);
     }
 
     fn maybe_snapshot(&mut self) -> Result<(), SessionError> {
@@ -446,6 +469,8 @@ struct Wal {
     /// axiom statements mentioning datatype roles only re-parse under a
     /// `DataRole:` declaration, so the log carries its own.
     declared: BTreeSet<DataRoleName>,
+    /// The line being appended, reused across appends.
+    line: String,
 }
 
 impl Wal {
@@ -462,17 +487,17 @@ impl Wal {
             path,
             file,
             declared,
+            line: String::new(),
         })
     }
 
     fn append(&mut self, op: &str, ax: &Axiom4) -> Result<(), SessionError> {
-        let sig = KnowledgeBase4::from_axioms([ax.clone()]).signature();
-        let fresh: Vec<&DataRoleName> = sig
-            .data_roles
-            .iter()
-            .filter(|u| !self.declared.contains(*u))
+        let fresh: Vec<DataRoleName> = data_roles(ax)
+            .into_iter()
+            .filter(|u| !self.declared.contains(u))
             .collect();
-        let mut out = String::new();
+        let out = &mut self.line;
+        out.clear();
         if !fresh.is_empty() {
             out.push_str("decl DataRole:");
             for u in &fresh {
@@ -483,13 +508,13 @@ impl Wal {
         }
         out.push_str(op);
         out.push(' ');
-        out.push_str(&print_axiom4(ax));
+        write_axiom4(out, ax);
         out.push('\n');
         // One write per mutation: the line (with its newline) reaches
         // the OS atomically enough for process-crash recovery; the
         // replay side drops any torn tail.
         self.file.write_all(out.as_bytes())?;
-        self.declared.extend(sig.data_roles.iter().cloned());
+        self.declared.extend(fresh);
         Ok(())
     }
 
@@ -499,6 +524,22 @@ impl Wal {
         writeln!(self.file, "{WAL_HEADER}")?;
         self.declared.clear();
         Ok(())
+    }
+}
+
+/// The datatype roles `ax` names: its statement re-parses only under a
+/// `DataRole:` declaration of each.
+fn data_roles(ax: &Axiom4) -> BTreeSet<DataRoleName> {
+    match ax {
+        Axiom4::ConceptInclusion(_, c, d) => {
+            let mut roles = c.data_role_names();
+            roles.extend(d.data_role_names());
+            roles
+        }
+        Axiom4::ConceptAssertion(_, c) => c.data_role_names(),
+        Axiom4::DataRoleInclusion(_, u, v) => BTreeSet::from([u.clone(), v.clone()]),
+        Axiom4::DataAssertion(u, ..) => BTreeSet::from([u.clone()]),
+        _ => BTreeSet::new(),
     }
 }
 
@@ -671,8 +712,13 @@ pub fn decode_kb4(mut buf: &[u8]) -> Result<Vec<Axiom4>, SnapshotError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::dataflow::tests::{concept_text, line_strategy};
+    use crate::dataflow::{axiom_local, SigAtom};
+    use crate::transform::Transformer;
     use crate::Reasoner4;
     use dl::DataValue;
+    use proptest::prelude::*;
+    use std::collections::{BTreeMap, HashMap, HashSet};
 
     fn ind(s: &str) -> IndividualName {
         IndividualName::new(s)
@@ -1086,5 +1132,239 @@ mod tests {
             .query(&ind("b"), &atom("B"))
             .unwrap()
             .has_true_info());
+    }
+
+    fn parse_axioms(text: &str) -> Vec<Axiom4> {
+        crate::parse_kb4(text)
+            .expect("generated lines parse")
+            .axioms()
+            .to_vec()
+    }
+
+    /// `slot ↦ new id` of the live slots, in order.
+    fn compaction_map(slots: &[Option<Axiom4>]) -> HashMap<usize, usize> {
+        let live = slots.iter().enumerate().filter(|(_, s)| s.is_some());
+        live.enumerate().map(|(new, (old, _))| (old, new)).collect()
+    }
+
+    fn renumber(key: &BTreeSet<usize>, map: &HashMap<usize, usize>) -> BTreeSet<usize> {
+        key.iter().map(|i| map[i]).collect()
+    }
+
+    /// One mutation, checked against a full scan of the cache before
+    /// it: the modules whose signature fails an added slot's locality
+    /// (or that hold a retracted slot) leave the cache, and with them
+    /// exactly the entailment keys whose probe extracts one of them.
+    fn check_mutation(
+        session: &mut Session,
+        mutate: impl FnOnce(&mut Session) -> Option<Delta>,
+        images: &[dl::axiom::Axiom],
+    ) -> Result<(), TestCaseError> {
+        let before = session.pipeline.module_signatures();
+        let entailments = session.pipeline.entailment_modules();
+        for module in entailments.values() {
+            prop_assert!(
+                before.contains_key(module),
+                "an entailment outlived its module"
+            );
+        }
+        let stats = session.stats();
+        let slots = session.slots.len();
+        let Some(delta) = mutate(session) else {
+            return Ok(());
+        };
+        prop_assert!(
+            session.slots.len() >= slots,
+            "compacted inside a short trace"
+        );
+        let dirty: BTreeSet<BTreeSet<usize>> = before
+            .iter()
+            .filter(|(key, signature)| match delta {
+                Delta::Add(_) => !images.iter().all(|im| axiom_local(im, signature)),
+                Delta::Retract(id) => key.contains(&id),
+            })
+            .map(|(key, _)| key.clone())
+            .collect();
+        let after = session.pipeline.module_signatures();
+        prop_assert!(after.keys().all(|key| before.contains_key(key)));
+        let dropped: BTreeSet<BTreeSet<usize>> = before
+            .keys()
+            .filter(|key| !after.contains_key(*key))
+            .cloned()
+            .collect();
+        prop_assert_eq!(&dropped, &dirty, "dirty set differs from the full scan");
+        let kept: HashSet<(IndividualName, Concept)> =
+            session.pipeline.entailment_modules().into_keys().collect();
+        let removed: HashSet<&(IndividualName, Concept)> = entailments
+            .keys()
+            .filter(|key| !kept.contains(*key))
+            .collect();
+        let expected: HashSet<&(IndividualName, Concept)> = entailments
+            .iter()
+            .filter(|(_, module)| dirty.contains(*module))
+            .map(|(key, _)| key)
+            .collect();
+        prop_assert_eq!(
+            &removed,
+            &expected,
+            "removed entailments differ from the full scan"
+        );
+        let now = session.stats();
+        prop_assert_eq!(
+            now.invalidated_modules - stats.invalidated_modules,
+            dirty.len() as u64
+        );
+        prop_assert_eq!(
+            now.invalidated_entailments - stats.invalidated_entailments,
+            expected.len() as u64
+        );
+        prop_assert!(now.invalidation_tests - stats.invalidation_tests <= before.len() as u64);
+        prop_assert!(session.pipeline.atom_index_is_exact());
+        Ok(())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// The atom-indexed dirty test and the keyed entailment eviction
+        /// drop exactly what a full scan of every cached module drops,
+        /// over traces of adds (never-local shapes and equality merges
+        /// included), retracts of any live slot, queries and
+        /// compactions; a compaction re-keys the cache without changing
+        /// what it holds.
+        #[test]
+        fn indexed_invalidation_matches_the_full_scan(
+            base in proptest::collection::vec(line_strategy(), 0..8),
+            steps in proptest::collection::vec(
+                (0usize..10, line_strategy(), 0usize..64, 0usize..11, 0usize..4, 0usize..4),
+                1..24,
+            ),
+        ) {
+            let config = Config {
+                time_budget: Some(std::time::Duration::from_millis(200)),
+                ..Config::default()
+            };
+            let kb = KnowledgeBase4::from_axioms(parse_axioms(&base.join("\n")));
+            let mut session = Session::new(&kb, config);
+            for (op, text, pick, k, x, y) in steps {
+                match op {
+                    0..=2 => {
+                        for ax in parse_axioms(&text) {
+                            let images = Transformer::memoized().axiom(&ax);
+                            check_mutation(&mut session, |s| {
+                                s.add_axiom(ax).expect("in-memory add");
+                                Some(Delta::Add(s.slots.len() - 1))
+                            }, &images)?;
+                        }
+                    }
+                    3 | 4 => check_mutation(&mut session, |s| {
+                        let live: Vec<&Axiom4> = s.slots.iter().flatten().collect();
+                        let ax = live.get(pick % live.len().max(1)).map(|&ax| ax.clone())?;
+                        let id = s.find_live(&ax).expect("a live axiom");
+                        assert!(s.retract_axiom(&ax).expect("in-memory retract"));
+                        Some(Delta::Retract(id))
+                    }, &[])?,
+                    5..=7 => {
+                        let c = crate::command::parse_concept(&concept_text(k, x, y), &BTreeSet::new())
+                            .expect("generated concepts parse");
+                        let _ = session.query(&ind(&format!("i{x}")), &c);
+                    }
+                    8 => {
+                        let map = compaction_map(&session.slots);
+                        let kb = session.kb();
+                        let modules = session.pipeline.module_signatures();
+                        let entailments = session.pipeline.entailment_modules();
+                        session.compact();
+                        prop_assert_eq!(session.kb(), kb);
+                        let rekeyed: BTreeMap<BTreeSet<usize>, BTreeSet<SigAtom>> = modules
+                            .into_iter()
+                            .map(|(key, signature)| (renumber(&key, &map), signature))
+                            .collect();
+                        prop_assert_eq!(session.pipeline.module_signatures(), rekeyed);
+                        let rekeyed: HashMap<(IndividualName, Concept), BTreeSet<usize>> = entailments
+                            .into_iter()
+                            .map(|(key, module)| (key, renumber(&module, &map)))
+                            .collect();
+                        prop_assert_eq!(session.pipeline.entailment_modules(), rekeyed);
+                        prop_assert!(session.pipeline.atom_index_is_exact());
+                    }
+                    _ => {
+                        let _ = session.is_satisfiable();
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn compaction_bounds_the_slots_and_keeps_order_keys_and_verdicts() {
+        let dir = scratch("compact-slots");
+        let base: Vec<Axiom4> = (0..3).flat_map(island).collect();
+        let mut model: Vec<Axiom4> = base.clone();
+        let goal = |n: usize| atom(&format!("A{n}")).and(atom(&format!("B{n}")));
+        {
+            let mut s = Session::open_with(&dir, Config::default(), 50).unwrap();
+            for ax in &base {
+                s.add_axiom(ax.clone()).unwrap();
+            }
+            let mut adds = base.len();
+            for k in 0..400 {
+                // Island 3 arrives after the first tombstones and no
+                // write touches it, so its cached module's slot ids
+                // shift at every compaction.
+                if k == 20 {
+                    for ax in island(3) {
+                        s.add_axiom(ax.clone()).unwrap();
+                        model.push(ax);
+                        adds += 1;
+                    }
+                }
+                if k >= 20 {
+                    s.query(&ind("x3"), &goal(3)).unwrap();
+                }
+                let n = k % 3;
+                let fresh = Axiom4::ConceptAssertion(ind(&format!("f{k}")), atom(&format!("A{n}")));
+                s.add_axiom(fresh.clone()).unwrap();
+                s.query(&ind(&format!("f{k}")), &goal(n)).unwrap();
+                s.query(&ind(&format!("x{n}")), &goal(n)).unwrap();
+                assert!(s.retract_axiom(&fresh).unwrap());
+                adds += 1;
+                // Every 50th pair moves a base axiom to the end.
+                if k % 50 == 49 {
+                    let moved = model.remove(k % model.len());
+                    assert!(s.retract_axiom(&moved).unwrap());
+                    s.add_axiom(moved.clone()).unwrap();
+                    model.push(moved);
+                    adds += 1;
+                }
+                assert!(s.slots.len() <= 2 * s.len() + COMPACT_FLOOR);
+                for key in s.pipeline.module_signatures().keys() {
+                    assert!(key
+                        .iter()
+                        .all(|&i| i < s.slots.len() && s.slots[i].is_some()));
+                }
+            }
+            assert!(s.slots.len() < adds / 2, "the session never compacted");
+            assert_eq!(s.kb().axioms(), &model[..]);
+        }
+        let reopened = Session::open_with(&dir, Config::default(), 50).unwrap();
+        assert_eq!(reopened.kb().axioms(), &model[..]);
+        let kb = KnowledgeBase4::from_axioms(model);
+        let engine = tableau::QueryEngine::new(&crate::transform_kb(&kb));
+        for n in 0..4 {
+            for c in [atom(&format!("A{n}")), atom(&format!("B{n}")), goal(n)] {
+                let a = ind(&format!("x{n}"));
+                let want = TruthValue::from_bits(
+                    engine
+                        .is_instance_of(&a, &crate::transform_concept(&c))
+                        .unwrap(),
+                    engine
+                        .is_instance_of(&a, &crate::transform_neg_concept(&c))
+                        .unwrap(),
+                );
+                assert_eq!(reopened.query(&a, &c).unwrap(), want, "{a} : {c:?}");
+            }
+        }
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 }

@@ -13,8 +13,8 @@
 //! 1. **told index** — a syntactically certain membership or internal
 //!    subsumption ([`ToldIndex`]; soundness is argued in that module);
 //! 2. **entailment cache** — exact instance-check verdicts keyed by
-//!    `(a, C̄)`, each tagged with the module that answered it so a
-//!    session can drop it with that module;
+//!    `(a, C̄)`; in a session the module that answered a key records it,
+//!    and the key leaves the cache with that module;
 //! 3. **module** — the probe's `⊤`-locality module ([`crate::dataflow`]),
 //!    cached per member set as a `ModuleEntry` whose Horn program,
 //!    engine and hardness score are built on first use;
@@ -38,7 +38,7 @@
 
 use crate::cache::{lock_mutex, recover, ShardedMap};
 use crate::command::Command;
-use crate::dataflow::{self, axiom_local, ModuleExtractor, SigAtom};
+use crate::dataflow::{self, axiom_local, Module, ModuleExtractor, SigAtom};
 use crate::hardness;
 use crate::horn::{self, HornProgram};
 use crate::inclusion::InclusionKind;
@@ -51,18 +51,18 @@ use dl::kb::KnowledgeBase;
 use dl::name::{ConceptName, IndividualName, RoleName};
 use dl::Concept;
 use fourval::TruthValue;
-use std::collections::{BTreeSet, HashMap, HashSet};
+use std::collections::{BTreeSet, HashMap};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
 use tableau::{Config, QueryEngine, ReasonerError, Stats};
 
-/// Member slot ids of a module: the module-cache key, shared with the
-/// entailment cache's per-entry tags.
+/// Member slot ids of a module: the module-cache key, one allocation
+/// shared by the store's lookup map and the entry.
 type ModuleKey = Arc<BTreeSet<usize>>;
 
-/// What the entailment cache remembers per `(a, C̄)` probe: the verdict
-/// plus the module that answered it (`None`: the full-KB engine).
-type CachedVerdict = (bool, Option<ModuleKey>);
+/// An entailment-cache key `(a, C̄)`. In a session the answering
+/// module's entry holds the same allocation as the cache map.
+type EntailmentKey = Arc<(IndividualName, Concept)>;
 
 /// One cached module. The engine, Horn program and score are built
 /// lazily (a module answered purely by saturation never pays for a
@@ -82,9 +82,12 @@ struct ModuleEntry {
     horn: OnceLock<Option<Arc<HornProgram>>>,
     /// Static [`crate::hardness`] score of the module's classical image.
     hardness: OnceLock<f64>,
+    /// Sessions only: the entailment-cache keys this module answered,
+    /// which leave the cache when the module is invalidated.
+    answered: Mutex<Vec<EntailmentKey>>,
 }
 
-/// The map slot around a [`ModuleEntry`]: distinct seeds can extract
+/// The store slot around a [`ModuleEntry`]: distinct seeds can extract
 /// the *same* axiom set (the empty module most of all) and share the
 /// entry, so the signature a session's add-side dirty test checks is
 /// the **union** of every contributing extraction's closed signature.
@@ -96,6 +99,90 @@ struct ModuleSlot {
     /// Empty in an immutable pipeline, which never invalidates.
     signature: BTreeSet<SigAtom>,
     entry: Arc<ModuleEntry>,
+}
+
+/// The module cache: slots in a slab, found by member set and, in a
+/// session, by `Σ`-atom. Locality reads `Σ` only through the atoms of
+/// the tested axiom, so an added axiom can dirty only the modules
+/// indexed under one of its atoms (or every module, when it is
+/// never-local).
+#[derive(Default)]
+struct ModuleStore {
+    ids: HashMap<ModuleKey, u32>,
+    slots: Vec<Option<ModuleSlot>>,
+    /// Vacated slab ids; no index list names them.
+    free: Vec<u32>,
+    /// Sessions only: `Σ`-atom → ids of the cached modules whose
+    /// signature holds it.
+    by_atom: HashMap<SigAtom, Vec<u32>>,
+}
+
+impl ModuleStore {
+    fn slot(&self, id: u32) -> &ModuleSlot {
+        self.slots[id as usize]
+            .as_ref()
+            .expect("the store names live slots only")
+    }
+
+    /// Every cached module's slab id.
+    fn ids(&self) -> Vec<u32> {
+        self.ids.values().copied().collect()
+    }
+
+    /// Cache a new module; with `signature`, index it under its atoms.
+    fn insert(&mut self, entry: Arc<ModuleEntry>, signature: Option<BTreeSet<SigAtom>>) {
+        let id = self.free.pop().unwrap_or_else(|| {
+            self.slots.push(None);
+            u32::try_from(self.slots.len() - 1).expect("fewer than 2^32 cached modules")
+        });
+        let signature = signature.unwrap_or_default();
+        for atom in &signature {
+            self.by_atom.entry(atom.clone()).or_default().push(id);
+        }
+        self.ids.insert(Arc::clone(&entry.key), id);
+        self.slots[id as usize] = Some(ModuleSlot { signature, entry });
+    }
+
+    /// Union another extraction's closed signature into module `id`'s
+    /// and index the atoms it adds.
+    fn widen(&mut self, id: u32, signature: BTreeSet<SigAtom>) {
+        let slot = self.slots[id as usize]
+            .as_mut()
+            .expect("the store names live slots only");
+        for atom in signature {
+            if !slot.signature.contains(&atom) {
+                self.by_atom.entry(atom.clone()).or_default().push(id);
+                slot.signature.insert(atom);
+            }
+        }
+    }
+
+    /// Drop modules `dead` from the slab, the lookup map and the atom
+    /// index; returns their entries.
+    fn remove(&mut self, dead: &[u32]) -> Vec<Arc<ModuleEntry>> {
+        let mut touched: Vec<SigAtom> = Vec::new();
+        let mut entries = Vec::with_capacity(dead.len());
+        for &id in dead {
+            let slot = self.slots[id as usize]
+                .take()
+                .expect("the store names live slots only");
+            self.ids.remove(&*slot.entry.key);
+            self.free.push(id);
+            touched.extend(slot.signature);
+            entries.push(slot.entry);
+        }
+        touched.sort_unstable();
+        touched.dedup();
+        for atom in touched {
+            if let Some(users) = self.by_atom.get_mut(&atom) {
+                users.retain(|&id| self.slots[id as usize].is_some());
+                if users.is_empty() {
+                    self.by_atom.remove(&atom);
+                }
+            }
+        }
+        entries
+    }
 }
 
 /// Which side of a session mutation an invalidation pass runs for.
@@ -239,10 +326,10 @@ pub(crate) struct Pipeline {
     told: ToldIndex,
     /// Memoized Definition 5–7 transformation (π and ¬π tables).
     transformer: Mutex<Transformer>,
-    modules: Mutex<HashMap<BTreeSet<usize>, ModuleSlot>>,
-    /// `(a, C̄) → (verdict, answering module)`. Sharded so batch workers
-    /// don't serialize on one cache lock.
-    instance_cache: ShardedMap<(IndividualName, Concept), CachedVerdict>,
+    modules: Mutex<ModuleStore>,
+    /// `(a, C̄) → verdict`. Sharded so batch workers don't serialize on
+    /// one cache lock.
+    instance_cache: ShardedMap<EntailmentKey, bool>,
     /// The config every engine the pipeline builds runs, shared
     /// cross-tenant ones included.
     config: Config,
@@ -250,10 +337,10 @@ pub(crate) struct Pipeline {
     /// rung leaves runs here instead of on a module engine.
     full: Option<QueryEngine>,
     shared: Option<Arc<SharedModuleCache>>,
-    /// Sessions only: keep the union of closed signatures per module
-    /// slot for the add-side dirty test. An immutable KB never
-    /// invalidates, so it neither stores them nor unions them under the
-    /// module-map lock.
+    /// Sessions only: keep each module's union of closed signatures,
+    /// the atom index over them and the entailment keys each module
+    /// answered, for invalidation. An immutable KB never invalidates,
+    /// so it keeps none of them.
     mutable: bool,
     /// Counters recorded by the pipeline itself (extraction, Horn,
     /// sharing, invalidation) plus the stats of every engine retired by
@@ -268,7 +355,7 @@ impl Pipeline {
             extractor: ModuleExtractor::new(kb),
             told: ToldIndex::build(kb),
             transformer: Mutex::new(Transformer::memoized()),
-            modules: Mutex::new(HashMap::new()),
+            modules: Mutex::new(ModuleStore::default()),
             instance_cache: ShardedMap::new(),
             config,
             full,
@@ -308,7 +395,7 @@ impl Pipeline {
         if let Some(full) = &self.full {
             s.absorb(&full.stats());
         }
-        for slot in lock_mutex(&self.modules).values() {
+        for slot in lock_mutex(&self.modules).slots.iter().flatten() {
             if let Some((engine, false)) = slot.entry.engine.get() {
                 s.absorb(&engine.stats());
             }
@@ -320,7 +407,7 @@ impl Pipeline {
 
     /// Number of distinct modules currently cached.
     pub(crate) fn cached_modules(&self) -> usize {
-        lock_mutex(&self.modules).len()
+        lock_mutex(&self.modules).ids.len()
     }
 
     // ------------------------------------------------------------------
@@ -359,11 +446,15 @@ impl Pipeline {
             }
         };
         let key = (a.clone(), tc);
-        if let Some((hit, _)) = self.instance_cache.get(&key) {
+        if let Some(hit) = self.instance_cache.get(&key) {
             return Ok(hit);
         }
-        let (verdict, module) = self.decide(&Probe::Instance(a, &key.1))?;
-        self.instance_cache.insert(key, (verdict, module));
+        let (verdict, entry) = self.decide(&Probe::Instance(a, &key.1))?;
+        let key = Arc::new(key);
+        if let (true, Some(entry)) = (self.mutable, entry) {
+            lock_mutex(&entry.answered).push(Arc::clone(&key));
+        }
+        self.instance_cache.insert(key, verdict);
         Ok(verdict)
     }
 
@@ -503,7 +594,7 @@ impl Pipeline {
     /// answered through (`None` when the full-KB engine took it without
     /// an extraction). Counters go to one local `Stats`, merged under a
     /// single lock per probe.
-    fn decide(&self, probe: &Probe) -> Result<(bool, Option<ModuleKey>), ReasonerError> {
+    fn decide(&self, probe: &Probe) -> Result<(bool, Option<Arc<ModuleEntry>>), ReasonerError> {
         let horn = probe.horn_goal();
         if let (Some(full), None) = (&self.full, &horn) {
             return Ok((probe.on_engine(full)?, None));
@@ -512,7 +603,7 @@ impl Pipeline {
         let entry = self.module_entry(&probe.seed(), &mut s);
         let verdict = self.decide_on(probe, horn, &entry, &mut s);
         lock_mutex(&self.stats).absorb(&s);
-        Ok((verdict?, Some(Arc::clone(&entry.key))))
+        Ok((verdict?, Some(entry)))
     }
 
     /// The shared-row, Horn and tableau rungs over one module.
@@ -560,32 +651,26 @@ impl Pipeline {
     /// `module_axioms` and `module_extraction_ns`.
     fn module_entry(&self, seed: &BTreeSet<SigAtom>, s: &mut Stats) -> Arc<ModuleEntry> {
         let t0 = Instant::now();
-        let module = self.extractor.extract(seed);
+        let Module {
+            axioms, signature, ..
+        } = self.extractor.extract(seed);
         s.scoped_queries += 1;
-        s.module_axioms += module.axioms.len() as u64;
+        s.module_axioms += axioms.len() as u64;
         s.module_extraction_ns += t0.elapsed().as_nanos() as u64;
-        let mut modules = lock_mutex(&self.modules);
-        if let Some(slot) = modules.get_mut(&module.axioms) {
+        let mut store = lock_mutex(&self.modules);
+        if let Some(&id) = store.ids.get(&axioms) {
             s.engine_cache_hits += 1;
             if self.mutable {
-                slot.signature.extend(module.signature);
+                store.widen(id, signature);
             }
-            return Arc::clone(&slot.entry);
+            return Arc::clone(&store.slot(id).entry);
         }
         s.engine_cache_misses += 1;
         let entry = Arc::new(ModuleEntry {
-            key: Arc::new(module.axioms.clone()),
+            key: Arc::new(axioms),
             ..ModuleEntry::default()
         });
-        let slot = ModuleSlot {
-            signature: if self.mutable {
-                module.signature
-            } else {
-                BTreeSet::new()
-            },
-            entry: Arc::clone(&entry),
-        };
-        modules.insert(module.axioms, slot);
+        store.insert(Arc::clone(&entry), self.mutable.then_some(signature));
         entry
     }
 
@@ -673,44 +758,45 @@ impl Pipeline {
     }
 
     // ------------------------------------------------------------------
-    // Session invalidation
+    // Session maintenance
     // ------------------------------------------------------------------
 
-    /// The delta-driven invalidation pass of a session mutation
-    /// (soundness in [`crate::incremental`]'s docs): drop dirty modules
-    /// (folding their engines' stats into the accumulator), the
-    /// entailment-cache entries they answered, and the told-index rows
-    /// the axiom touches. `slots` is the session's axiom store after
-    /// the mutation.
-    pub(crate) fn invalidate(&mut self, delta: Delta, ax: &Axiom4, slots: &[Option<Axiom4>]) {
+    /// Fold a session mutation into the pipeline (soundness in
+    /// [`crate::incremental`]'s docs): add the slot to the extractor or
+    /// tombstone it there, drop the dirty modules (folding their
+    /// engines' stats into the accumulator) with the entailment-cache
+    /// keys they answered, and update the told index. `slots` is the
+    /// session's axiom store after the mutation.
+    pub(crate) fn apply(&mut self, delta: Delta, ax: &Axiom4, slots: &[Option<Axiom4>]) {
         let mut s = Stats {
             mutations: 1,
             ..Stats::default()
         };
-        let extractor = &self.extractor;
-        let mut dirty: HashSet<ModuleKey> = HashSet::new();
-        recover(self.modules.get_mut()).retain(|_, slot| {
-            let is_dirty = match delta {
-                Delta::Add(id) => !extractor
-                    .images(id)
-                    .iter()
-                    .all(|im| axiom_local(im, &slot.signature)),
-                Delta::Retract(id) => slot.entry.key.contains(&id),
-            };
-            if is_dirty {
-                if let Some((engine, false)) = slot.entry.engine.get() {
-                    s.absorb(&engine.stats());
-                }
-                dirty.insert(Arc::clone(&slot.entry.key));
+        let store = recover(self.modules.get_mut());
+        let dirty = match delta {
+            Delta::Add(id) => {
+                let pushed = self.extractor.push_axiom(ax);
+                debug_assert_eq!(
+                    pushed, id,
+                    "the session and the extractor agree on slot ids"
+                );
+                dirty_on_add(store, &self.extractor, id, &mut s)
             }
-            !is_dirty
-        });
+            Delta::Retract(id) => {
+                // Read the slot's atoms before the tombstone clears them.
+                let dirty = dirty_on_retract(store, &self.extractor, id, &mut s);
+                self.extractor.remove_axiom(id);
+                dirty
+            }
+        };
         s.invalidated_modules += dirty.len() as u64;
-        if !dirty.is_empty() {
-            let removed = self
-                .instance_cache
-                .retain(|_, (_, key)| !key.as_ref().is_some_and(|k| dirty.contains(k)));
-            s.invalidated_entailments += removed as u64;
+        for entry in store.remove(&dirty) {
+            if let Some((engine, false)) = entry.engine.get() {
+                s.absorb(&engine.stats());
+            }
+            for key in recover(entry.answered.lock()).iter() {
+                s.invalidated_entailments += u64::from(self.instance_cache.remove(&**key));
+            }
         }
         let told = &mut self.told;
         let noted = match delta {
@@ -733,6 +819,136 @@ impl Pipeline {
             }
         };
         recover(self.stats.get_mut()).absorb(&s);
+    }
+
+    /// Drop the tombstones of `slots` (the session's store before it
+    /// compacts) and renumber every slot id the pipeline holds: the
+    /// extractor's rows, the told index's provenance and each cached
+    /// module's key. Module entries keep their engines, Horn programs,
+    /// scores and entailment keys; the atom index names modules by slab
+    /// id and stays as it is.
+    pub(crate) fn compact(&mut self, slots: &[Option<Axiom4>]) {
+        let mut next = 0;
+        let remap: Vec<usize> = slots
+            .iter()
+            .map(|slot| match slot {
+                Some(_) => {
+                    next += 1;
+                    next - 1
+                }
+                None => usize::MAX,
+            })
+            .collect();
+        self.extractor.compact(&remap);
+        self.told = ToldIndex::build_indexed(slots.iter().flatten().enumerate());
+        let store = recover(self.modules.get_mut());
+        store.ids.clear();
+        for (id, slot) in store.slots.iter_mut().enumerate() {
+            let Some(slot) = slot else { continue };
+            // Probes hold entries only within a `&self` call.
+            let entry = Arc::get_mut(&mut slot.entry).expect("no probe outlives a session call");
+            entry.key = Arc::new(entry.key.iter().map(|&i| remap[i]).collect());
+            debug_assert!(
+                entry.key.iter().all(|&i| i < next),
+                "a module kept a tombstone"
+            );
+            store.ids.insert(Arc::clone(&entry.key), id as u32);
+        }
+    }
+}
+
+/// The cached modules an added slot `id` dirties: those whose `Σ` fails
+/// its images' `⊤`-locality. Locality reads `Σ` only through the
+/// slot's own atoms, so only modules indexed under one of them are
+/// tested; a never-local slot fails against every `Σ` and dirties all.
+fn dirty_on_add(store: &ModuleStore, ex: &ModuleExtractor, id: usize, s: &mut Stats) -> Vec<u32> {
+    if ex.is_never_local(id) {
+        let all = store.ids();
+        s.invalidation_tests += all.len() as u64;
+        return all;
+    }
+    let mut candidates: Vec<u32> = ex.graph().atoms[id]
+        .iter()
+        .filter_map(|atom| store.by_atom.get(atom))
+        .flatten()
+        .copied()
+        .collect();
+    candidates.sort_unstable();
+    candidates.dedup();
+    s.invalidation_tests += candidates.len() as u64;
+    candidates.retain(|&m| {
+        let signature = &store.slot(m).signature;
+        !ex.images(id).iter().all(|im| axiom_local(im, signature))
+    });
+    candidates
+}
+
+/// The cached modules holding a retracted slot `id`. A member's atoms
+/// lie in `sig(M) ⊆ Σ(M)`, so every such module is indexed under any
+/// one of them; a slot without atoms falls back to every module.
+fn dirty_on_retract(
+    store: &ModuleStore,
+    ex: &ModuleExtractor,
+    id: usize,
+    s: &mut Stats,
+) -> Vec<u32> {
+    let mut candidates = match ex.graph().atoms[id].first() {
+        Some(atom) => store.by_atom.get(atom).cloned().unwrap_or_default(),
+        None => store.ids(),
+    };
+    s.invalidation_tests += candidates.len() as u64;
+    candidates.retain(|&m| store.slot(m).entry.key.contains(&id));
+    candidates
+}
+
+#[cfg(test)]
+impl Pipeline {
+    /// Each cached module's member set and signature.
+    pub(crate) fn module_signatures(
+        &self,
+    ) -> std::collections::BTreeMap<BTreeSet<usize>, BTreeSet<SigAtom>> {
+        let store = lock_mutex(&self.modules);
+        let modules = store.slots.iter().flatten();
+        modules
+            .map(|slot| ((*slot.entry.key).clone(), slot.signature.clone()))
+            .collect()
+    }
+
+    /// Each cached entailment key, with the module its probe extracts
+    /// from the current KB.
+    pub(crate) fn entailment_modules(&self) -> HashMap<(IndividualName, Concept), BTreeSet<usize>> {
+        let keys = self.instance_cache.keys();
+        keys.into_iter()
+            .map(|key| {
+                let seed = Probe::Instance(&key.0, &key.1).seed();
+                ((*key).clone(), self.extractor.extract(&seed).axioms)
+            })
+            .collect()
+    }
+
+    /// Does the atom index list exactly the modules whose signature
+    /// holds each atom?
+    pub(crate) fn atom_index_is_exact(&self) -> bool {
+        let store = lock_mutex(&self.modules);
+        let mut listed: Vec<(SigAtom, u32)> = store
+            .by_atom
+            .iter()
+            .flat_map(|(atom, ids)| ids.iter().map(move |&id| (atom.clone(), id)))
+            .collect();
+        let mut held: Vec<(SigAtom, u32)> = store
+            .ids
+            .values()
+            .flat_map(|&id| {
+                store
+                    .slot(id)
+                    .signature
+                    .iter()
+                    .map(move |a| (a.clone(), id))
+            })
+            .collect();
+        listed.sort_unstable();
+        held.sort_unstable();
+        listed == held
     }
 }
 

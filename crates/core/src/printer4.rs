@@ -7,6 +7,7 @@
 
 use crate::inclusion::InclusionKind;
 use crate::kb4::{Axiom4, KnowledgeBase4};
+use std::fmt::Write as _;
 
 fn concept_keyword(kind: InclusionKind) -> &'static str {
     kind.keyword()
@@ -41,22 +42,30 @@ fn lhs(c: &dl::Concept) -> String {
 
 /// Render one axiom as a single parseable statement line.
 pub fn print_axiom4(ax: &Axiom4) -> String {
-    match ax {
+    let mut out = String::new();
+    write_axiom4(&mut out, ax);
+    out
+}
+
+/// [`print_axiom4`], appended to `out`.
+pub(crate) fn write_axiom4(out: &mut String, ax: &Axiom4) {
+    // Writing to a `String` cannot fail.
+    let _ = match ax {
         Axiom4::ConceptInclusion(k, c, d) => {
-            format!("{} {} {d}", lhs(c), concept_keyword(*k))
+            write!(out, "{} {} {d}", lhs(c), concept_keyword(*k))
         }
-        Axiom4::RoleInclusion(k, r, s) => format!("{r} {} {s}", role_keyword(*k)),
+        Axiom4::RoleInclusion(k, r, s) => write!(out, "{r} {} {s}", role_keyword(*k)),
         Axiom4::DataRoleInclusion(k, u, v) => {
-            format!("{u} {} {v}", data_role_keyword(*k))
+            write!(out, "{u} {} {v}", data_role_keyword(*k))
         }
-        Axiom4::Transitive(r) => format!("Transitive({r})"),
-        Axiom4::ConceptAssertion(a, c) => format!("{a} : {c}"),
-        Axiom4::RoleAssertion(r, a, b) => format!("{r}({a}, {b})"),
-        Axiom4::NegativeRoleAssertion(r, a, b) => format!("not {r}({a}, {b})"),
-        Axiom4::DataAssertion(u, a, v) => format!("{u}({a}, {v})"),
-        Axiom4::SameIndividual(a, b) => format!("{a} = {b}"),
-        Axiom4::DifferentIndividuals(a, b) => format!("{a} != {b}"),
-    }
+        Axiom4::Transitive(r) => write!(out, "Transitive({r})"),
+        Axiom4::ConceptAssertion(a, c) => write!(out, "{a} : {c}"),
+        Axiom4::RoleAssertion(r, a, b) => write!(out, "{r}({a}, {b})"),
+        Axiom4::NegativeRoleAssertion(r, a, b) => write!(out, "not {r}({a}, {b})"),
+        Axiom4::DataAssertion(u, a, v) => write!(out, "{u}({a}, {v})"),
+        Axiom4::SameIndividual(a, b) => write!(out, "{a} = {b}"),
+        Axiom4::DifferentIndividuals(a, b) => write!(out, "{a} != {b}"),
+    };
 }
 
 /// Render a whole KB in parseable form, emitting a `DataRole:` declaration

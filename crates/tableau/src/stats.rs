@@ -79,6 +79,9 @@ pub struct Stats {
     /// Told-index rows (memoized membership closures / subsumer sets /
     /// seed lists) dropped by incremental maintenance.
     pub invalidated_told_rows: u64,
+    /// Cached modules an invalidation pass examined: locality-tested
+    /// against an added axiom, or checked for a retracted one's slot.
+    pub invalidation_tests: u64,
     /// Searches aborted by a raised [`crate::interrupt`] token (a
     /// deadline installed there counts as a time-budget error instead).
     pub cancelled: u64,
@@ -131,6 +134,7 @@ impl Stats {
         self.invalidated_modules += other.invalidated_modules;
         self.invalidated_entailments += other.invalidated_entailments;
         self.invalidated_told_rows += other.invalidated_told_rows;
+        self.invalidation_tests += other.invalidation_tests;
         self.cancelled += other.cancelled;
         self.shared_module_hits += other.shared_module_hits;
         self.shared_module_misses += other.shared_module_misses;
@@ -192,6 +196,7 @@ mod tests {
             invalidated_modules: 18,
             invalidated_entailments: 19,
             invalidated_told_rows: 20,
+            invalidation_tests: 26,
             cancelled: 21,
             shared_module_hits: 22,
             shared_module_misses: 23,
@@ -218,6 +223,7 @@ mod tests {
         assert_eq!(a.invalidated_modules, 18);
         assert_eq!(a.invalidated_entailments, 19);
         assert_eq!(a.invalidated_told_rows, 20);
+        assert_eq!(a.invalidation_tests, 26);
         assert_eq!(a.cancelled, 21);
         assert_eq!(a.shared_module_hits, 22);
         assert_eq!(a.shared_module_misses, 23);

@@ -27,6 +27,8 @@
 mod common;
 
 use common::{signature_grid, Oracle};
+use dl::name::IndividualName;
+use dl::Concept;
 use ontogen::churn::{churn_workload, ChurnOp, ChurnParams};
 use ontogen::modular::ModularParams;
 use ontogen::random::{random_kb4, RandomParams};
@@ -244,8 +246,9 @@ proptest! {
 /// On a localized churn trace (seed 7, three islands of 8 TBox / 12
 /// ABox axioms, one contaminated, 120 ops, 15 % mutations on island 0)
 /// invalidation stays module-granular — on average a mutation drops
-/// under a quarter of the module population — and the entailment cache
-/// keeps answering across mutations.
+/// under a quarter of the module population and examines under a
+/// quarter of what a scan of every cached module would — and the
+/// entailment cache keeps answering across mutations.
 #[test]
 fn churn_invalidation_is_module_granular_and_keeps_entailments_warm() {
     let (kb, _, ops) = churn_workload(&ChurnParams {
@@ -262,10 +265,18 @@ fn churn_invalidation_is_module_granular_and_keeps_entailments_warm() {
         hot_island: 0,
     });
     let mut session = Session::new(&kb, Config::default());
+    // What a full scan would examine: every cached module, per mutation.
+    let mut full_scan = 0;
     for op in &ops {
         match op {
-            ChurnOp::Add(ax) => session.add_axiom(ax.clone()).unwrap(),
-            ChurnOp::Retract(ax) => assert!(session.retract_axiom(ax).unwrap()),
+            ChurnOp::Add(ax) => {
+                full_scan += session.cached_modules() as u64;
+                session.add_axiom(ax.clone()).unwrap();
+            }
+            ChurnOp::Retract(ax) => {
+                full_scan += session.cached_modules() as u64;
+                assert!(session.retract_axiom(ax).unwrap());
+            }
             ChurnOp::Query(a, c) => {
                 session.query(a, c).unwrap();
             }
@@ -284,6 +295,13 @@ fn churn_invalidation_is_module_granular_and_keeps_entailments_warm() {
     assert!(
         stats.entailment_cache_hits > 0,
         "entailment cache never hit across the churn trace"
+    );
+    // The atom index examines a fraction of the cache (16 of the 296
+    // module visits a full scan makes on this trace).
+    assert!(
+        stats.invalidation_tests * 4 <= full_scan,
+        "invalidation examined {} modules where a full scan examines {full_scan}",
+        stats.invalidation_tests
     );
 }
 
@@ -444,5 +462,66 @@ fn crash_after_snapshot_compaction_recovers_through_the_snapshot() {
     // recovered KB is set-equal (and here sequence-equal) to in-memory
     // replay of the same history.
     assert_eq!(reopened.kb(), expected_kb(&base, &muts));
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// Churn far past the tombstone floor compacts the session in memory.
+/// Compaction renumbers slots, so the checks sit where a stale module
+/// key would show: a retract inside a module cached before the
+/// compactions (its membership test reads the renumbered key), the live
+/// KB's order, and every verdict against the oracle, in memory and
+/// after a snapshot and a reopen.
+#[test]
+fn compacted_sessions_keep_order_and_verdicts_through_snapshot_and_reopen() {
+    let dir = scratch("slots");
+    let axioms = |text: &str| shoin4::parse_kb4(text).unwrap().axioms().to_vec();
+    let mut model = axioms("A0 SubClassOf B0\nx0 : A0");
+    let late = axioms("A1 SubClassOf B1\nx1 : A1\nx1 : C1");
+    let goal = Concept::atomic("A1").and(Concept::atomic("B1"));
+    let agrees = |session: &Session, model: &[Axiom4]| {
+        let kb = KnowledgeBase4::from_axioms(model.iter().cloned());
+        assert_eq!(session.kb(), kb);
+        let reference = Oracle::new(&kb, config());
+        let grid = signature_grid(&kb);
+        for (a, c) in grid
+            .iter()
+            .chain([&(IndividualName::new("x1"), goal.clone())])
+        {
+            assert_eq!(
+                session.query(a, c).unwrap(),
+                reference.query(a, c).unwrap(),
+                "compacted session diverged on {a}:{c:?}"
+            );
+        }
+    };
+    {
+        let mut s = Session::open_with(&dir, Config::default(), 40).unwrap();
+        for ax in &model {
+            s.add_axiom(ax.clone()).unwrap();
+        }
+        for k in 0..300 {
+            if k == 10 {
+                for ax in &late {
+                    s.add_axiom(ax.clone()).unwrap();
+                    model.push(ax.clone());
+                }
+                assert!(s
+                    .query(&IndividualName::new("x1"), &goal)
+                    .unwrap()
+                    .has_true_info());
+            }
+            let fresh = axioms(&format!("f{k} : A0")).remove(0);
+            s.add_axiom(fresh.clone()).unwrap();
+            s.query(&IndividualName::new("x0"), &Concept::atomic("B0"))
+                .unwrap();
+            assert!(s.retract_axiom(&fresh).unwrap());
+        }
+        let member = axioms("x1 : A1").remove(0);
+        assert!(s.retract_axiom(&member).unwrap());
+        model.retain(|ax| ax != &member);
+        agrees(&s, &model);
+    }
+    let reopened = Session::open_with(&dir, Config::default(), 40).unwrap();
+    agrees(&reopened, &model);
     std::fs::remove_dir_all(&dir).unwrap();
 }
